@@ -4,6 +4,19 @@ One Lance-Williams style engine serves both the base linkage clusterers
 and the consensus step. Merge records follow the usual convention:
 original samples are nodes 0..n-1 and the cluster created by merge ``i``
 is node ``n + i``.
+
+Each step merges the closest pair of active clusters. Ties go to the
+smallest row, then the smallest column, of the current matrix (the
+row-major first minimum), so the merge sequence is deterministic.
+
+The engine caches, for every active row, its minimum over the active
+columns and the smallest column holding it; this is the nearest-neighbour
+list of Müllner's generic algorithm (arXiv:1109.2378), kept exact under
+the tie rule above. A step then picks the pair from the n cached minima
+instead of scanning the matrix, and rescans only the merged row and the
+rows whose cached minimum pointed at a merged cluster and grew. That
+costs O(n^2) in the typical case and O(n^3) in the worst case, when most
+rows must rescan at most steps.
 """
 from __future__ import annotations
 
@@ -16,7 +29,8 @@ def linkage_merge(dissimilarity: np.ndarray, method: str) -> list[tuple[int, int
     """Run bottom-up merging; returns n-1 records (left, right, height, size).
 
     Ties in the closest pair go to the smallest (row, column) slot pair,
-    which keeps the merge sequence deterministic.
+    which keeps the merge sequence deterministic. Entries must not be
+    NaN.
     """
     if method not in LINKAGE_METHODS:
         raise ValueError(f"unknown linkage method {method!r}")
@@ -24,48 +38,61 @@ def linkage_merge(dissimilarity: np.ndarray, method: str) -> list[tuple[int, int
     n = d.shape[0]
     if d.shape != (n, n):
         raise ValueError("dissimilarity matrix must be square")
+    if n < 2:
+        return []
+    # Rows and columns of merged-away slots are held at +inf, so full
+    # columns can be updated without first selecting the active slots.
     np.fill_diagonal(d, np.inf)
 
-    active = np.ones(n, dtype=bool)
-    node_id = np.arange(n)          # slot -> current cluster id
+    node_id = list(range(n))        # slot -> current cluster id
     size = np.ones(n, dtype=int)    # slot -> cluster size
+    row_arg = d.argmin(axis=1)      # slot -> smallest column holding the row minimum
+    row_min = d[np.arange(n), row_arg]
     merges: list[tuple[int, int, float, int]] = []
 
     for step in range(n - 1):
-        idx = np.flatnonzero(active)
-        sub = d[np.ix_(idx, idx)]
-        r, c = np.unravel_index(int(np.argmin(sub)), sub.shape)
-        i, j = int(idx[r]), int(idx[c])
-        if i > j:
-            i, j = j, i
+        r = int(row_min.argmin())
+        c = int(row_arg[r])
+        i, j = (r, c) if r < c else (c, r)
         height = float(d[i, j])
 
-        others = idx[(idx != i) & (idx != j)]
-        if others.size:
-            dki = d[others, i]
-            dkj = d[others, j]
-            if method == "single":
-                new = np.minimum(dki, dkj)
-            elif method == "complete":
-                new = np.maximum(dki, dkj)
-            elif method == "average":
-                new = (size[i] * dki + size[j] * dkj) / (size[i] + size[j])
-            else:  # ward, treating stored values as Euclidean-like distances
-                sk = size[others]
-                num = (
-                    (size[i] + sk) * dki**2
-                    + (size[j] + sk) * dkj**2
-                    - sk * height**2
-                )
-                new = np.sqrt(np.maximum(num / (size[i] + size[j] + sk), 0.0))
-            d[others, i] = new
-            d[i, others] = new
+        dki = d[:, i]
+        dkj = d[:, j]
+        si, sj = size[i], size[j]
+        if method == "single":
+            new = np.minimum(dki, dkj)
+        elif method == "complete":
+            new = np.maximum(dki, dkj)
+        elif method == "average":
+            new = (si * dki + sj * dkj) / (si + sj)
+        else:  # ward, treating stored values as Euclidean-like distances
+            num = (si + size) * dki**2 + (sj + size) * dkj**2 - size * height**2
+            new = np.sqrt(np.maximum(num / (si + sj + size), 0.0))
+        new[i] = new[j] = np.inf
+        d[:, i] = new
+        d[i, :] = new
+        d[j, :] = np.inf
+        d[:, j] = np.inf
+        row_min[j] = np.inf
 
-        left, right = sorted((int(node_id[i]), int(node_id[j])))
-        size[i] += size[j]
+        # Only column i changed in the other rows (column j is gone). A row
+        # whose minimum sat at i or j and grew must rescan; any other row
+        # takes (new, i) when that is smaller, or equal with i the earlier
+        # column, and otherwise keeps its cache.
+        stale = (new > row_min) & ((row_arg == i) | (row_arg == j))
+        take = (new < row_min) | ((new == row_min) & (row_arg > i))
+        np.copyto(row_min, new, where=take)
+        row_arg[take] = i
+        stale[i] = True
+        rows = np.flatnonzero(stale)
+        args = d[rows].argmin(axis=1)
+        row_arg[rows] = args
+        row_min[rows] = d[rows, args]
+
+        left, right = sorted((node_id[i], node_id[j]))
+        size[i] = si + sj
         merges.append((left, right, height, int(size[i])))
         node_id[i] = n + step
-        active[j] = False
 
     return merges
 

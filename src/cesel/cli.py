@@ -16,7 +16,14 @@ from . import assets
 from .cail import build_graph, export_dot, load_scmt, load_script, to_graph_array
 from .consensus import PipelineConfig, run_ces
 from .clusterers import ALGORITHM_IDS, Dataset
-from .errors import AllMissingColumn, CommitteeTooSmall, ParseError, CeselError
+from .errors import (
+    AllMissingColumn,
+    CeselError,
+    CommitteeTooSmall,
+    DataFileError,
+    InvalidK,
+    ParseError,
+)
 from .harness import (
     accuracy,
     gen_half_ring,
@@ -46,16 +53,19 @@ def _pipeline_config(k, dt, committee, attempts, seed, aidm, consensus_mode,
         if unknown:
             raise click.UsageError(f"unknown algorithm IDs: {sorted(unknown)}")
         kwargs["roster"] = ids
-    return PipelineConfig(
-        k_final=k,
-        d_threshold=dt,
-        committee_target=committee,
-        max_attempts=attempts,
-        seed=seed,
-        aidm_source=aidm,
-        consensus=consensus_mode,
-        **kwargs,
-    )
+    try:
+        return PipelineConfig(
+            k_final=k,
+            d_threshold=dt,
+            committee_target=committee,
+            max_attempts=attempts,
+            seed=seed,
+            aidm_source=aidm,
+            consensus=consensus_mode,
+            **kwargs,
+        )
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
 
 
 @cli.command()
@@ -232,7 +242,10 @@ def main(argv=None) -> int:
     except click.UsageError as exc:
         click.echo(f"usage error: {exc.format_message()}", err=True)
         return 1
-    except (ParseError, AllMissingColumn) as exc:
+    except InvalidK as exc:
+        click.echo(f"usage error: {exc}", err=True)
+        return 1
+    except (ParseError, AllMissingColumn, DataFileError) as exc:
         click.echo(f"data error: {exc}", err=True)
         return 2
     except CommitteeTooSmall as exc:

@@ -94,6 +94,8 @@ class ClustererConfig:
             raise ValueError("k must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
+        if not self.fuzzifier > 1.0:
+            raise ValueError("fuzzifier must be > 1")
 
 
 def preprocess(

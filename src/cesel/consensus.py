@@ -21,6 +21,7 @@ from .clusterers import ALGORITHM_IDS, ClustererConfig, Dataset, Partition, run_
 from .diversity import admit
 from .errors import (
     CommitteeTooSmall,
+    DataFileError,
     EmptyCommittee,
     InvalidK,
     WeightMismatch,
@@ -185,12 +186,19 @@ class RunReport:
 
 
 def resolve_aidm(cfg: PipelineConfig) -> Aidm:
-    """Locate the independency matrix named by ``cfg.aidm_source``."""
+    """Locate the independency matrix named by ``cfg.aidm_source``.
+
+    Raises :class:`DataFileError` when a CSV path cannot be opened or read.
+    """
     if cfg.aidm_source == "reference":
         return reference_aidm()
     if cfg.aidm_source == "computed":
         return assets.computed_aidm()
-    return load_aidm_csv(cfg.aidm_source)
+    try:
+        return load_aidm_csv(cfg.aidm_source)
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+        raise DataFileError(f"cannot read AIDM file {cfg.aidm_source!r}: {reason}") from exc
 
 
 def _candidate_config(cfg: PipelineConfig, data_n: int, run_index: int) -> ClustererConfig:
@@ -213,9 +221,14 @@ def run_ces(data: Dataset, cfg: PipelineConfig) -> tuple[Partition, RunReport]:
     from (master seed, run index), admitted strictly in run-index order
     by the diversity gate, and capped by ``max_attempts`` so the loop
     always terminates. Raises :class:`CommitteeTooSmall` when fewer than
-    two candidates get admitted.
+    two candidates get admitted. A final k above the sample count
+    (:class:`InvalidK`) and an unreadable AIDM for ``weac``
+    (:class:`DataFileError`) fail before any candidate runs.
     """
     t0 = time.perf_counter()
+    if cfg.k_final > data.n:
+        raise InvalidK(f"cannot cut {data.n} samples into {cfg.k_final} clusters")
+    aidm = resolve_aidm(cfg) if cfg.consensus == "weac" else None
     committee: list[CommitteeEntry] = []
     trace: list[dict] = []
     attempts = 0
@@ -251,7 +264,7 @@ def run_ces(data: Dataset, cfg: PipelineConfig) -> tuple[Partition, RunReport]:
         )
 
     if cfg.consensus == "weac":
-        weights = ai_weights(committee, resolve_aidm(cfg))
+        weights = ai_weights(committee, aidm)
         co_assoc = weac(committee, weights)
     else:
         weights = np.ones(len(committee))

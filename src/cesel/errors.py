@@ -63,6 +63,10 @@ class ParseError(CeselError):
     """A CSV cell could not be interpreted; message names row and column."""
 
 
+class DataFileError(CeselError):
+    """A data file named in the configuration is missing or cannot be read."""
+
+
 class AllMissingColumn(CeselError):
     """A feature column has no observed values, so it cannot be imputed."""
 

@@ -1,0 +1,114 @@
+"""The cached-row-minimum linkage engine against the plain full-scan loop.
+
+The oracle below is the original engine: at every step it copies the
+active submatrix and takes its row-major first minimum. The cached engine
+must reproduce its merge list exactly (same pairs, bit-identical heights)
+for every method, above all on tie-heavy inputs.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from cesel import assets
+from cesel._agglo import LINKAGE_METHODS, linkage_merge
+from cesel.clusterers import cosine_matrix, euclidean_matrix, hamming_matrix
+from cesel.harness import load_csv
+
+
+def oracle_linkage_merge(dissimilarity, method):
+    """Full-scan Lance-Williams merging: O(n^3), ties to the smallest (row, column)."""
+    d = np.asarray(dissimilarity, dtype=float).copy()
+    n = d.shape[0]
+    np.fill_diagonal(d, np.inf)
+
+    active = np.ones(n, dtype=bool)
+    node_id = np.arange(n)
+    size = np.ones(n, dtype=int)
+    merges = []
+
+    for step in range(n - 1):
+        idx = np.flatnonzero(active)
+        sub = d[np.ix_(idx, idx)]
+        r, c = np.unravel_index(int(np.argmin(sub)), sub.shape)
+        i, j = int(idx[r]), int(idx[c])
+        if i > j:
+            i, j = j, i
+        height = float(d[i, j])
+
+        others = idx[(idx != i) & (idx != j)]
+        if others.size:
+            dki = d[others, i]
+            dkj = d[others, j]
+            if method == "single":
+                new = np.minimum(dki, dkj)
+            elif method == "complete":
+                new = np.maximum(dki, dkj)
+            elif method == "average":
+                new = (size[i] * dki + size[j] * dkj) / (size[i] + size[j])
+            else:
+                sk = size[others]
+                num = (
+                    (size[i] + sk) * dki**2
+                    + (size[j] + sk) * dkj**2
+                    - sk * height**2
+                )
+                new = np.sqrt(np.maximum(num / (size[i] + size[j] + sk), 0.0))
+            d[others, i] = new
+            d[i, others] = new
+
+        left, right = sorted((int(node_id[i]), int(node_id[j])))
+        size[i] += size[j]
+        merges.append((left, right, height, int(size[i])))
+        node_id[i] = n + step
+        active[j] = False
+
+    return merges
+
+
+def _one_minus_coassociation(labels: np.ndarray) -> np.ndarray:
+    votes = sum((row[:, None] == row[None, :]).astype(float) for row in labels)
+    return 1.0 - votes / len(labels)
+
+
+@st.composite
+def dissimilarities(draw):
+    """Square matrices for n = 1..40, mostly with many exact ties."""
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["euclidean", "hamming", "coassoc", "continuous", "asymmetric"]))
+    if kind == "coassoc":
+        members = draw(st.integers(1, 6))
+        labels = draw(arrays(np.int64, (members, n), elements=st.integers(0, 3)))
+        return _one_minus_coassociation(labels)
+    if kind == "asymmetric":
+        return draw(arrays(np.int64, (n, n), elements=st.integers(0, 5))).astype(float)
+    dim = draw(st.integers(1, 3))
+    if kind == "continuous":
+        points = draw(arrays(np.float64, (n, dim),
+                             elements=st.floats(-100, 100, allow_nan=False, width=64)))
+        return euclidean_matrix(points)
+    points = draw(arrays(np.int64, (n, dim), elements=st.integers(0, 3))).astype(float)
+    return euclidean_matrix(points) if kind == "euclidean" else hamming_matrix(points)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dissimilarities())
+def test_matches_full_scan_oracle(d):
+    for method in LINKAGE_METHODS:
+        assert linkage_merge(d, method) == oracle_linkage_merge(d, method)
+
+
+@pytest.mark.parametrize("distance", [euclidean_matrix, hamming_matrix, cosine_matrix])
+@pytest.mark.parametrize("method", LINKAGE_METHODS)
+def test_matches_oracle_on_iris(distance, method):
+    # n=150 with duplicate samples: long runs of rescans and exact ties.
+    d = distance(load_csv(assets.iris_csv_path(), label_column="species").samples)
+    assert linkage_merge(d, method) == oracle_linkage_merge(d, method)
+
+
+def test_rejects_bad_input():
+    with pytest.raises(ValueError, match="unknown linkage"):
+        linkage_merge(np.zeros((3, 3)), "median")
+    with pytest.raises(ValueError, match="square"):
+        linkage_merge(np.zeros((3, 2)), "single")
+    assert linkage_merge(np.zeros((1, 1)), "single") == []

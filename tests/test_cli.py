@@ -23,6 +23,15 @@ def ring_csv(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def no_candidates(monkeypatch):
+    """Fail the test if the pipeline runs any candidate clusterer."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a candidate ran before the input was checked")
+
+    monkeypatch.setattr("cesel.consensus.run_algorithm", refuse)
+
+
 def test_run_writes_report(iris_path, tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = main([
@@ -133,6 +142,30 @@ class TestExitCodes:
                    "--dt", "1.0", "--committee", "5", "--attempts", "6",
                    "--seed", "2"])
         assert rc == 3
+
+    @pytest.mark.parametrize("flags", [
+        ["--k", "500"],                       # more clusters than iris has samples
+        ["--k", "3", "--dt", "2"],            # threshold outside [0, 1]
+        ["--k", "3", "--committee", "1"],     # a committee needs two members
+    ])
+    def test_bad_config_is_usage_error_before_any_candidate(
+        self, iris_path, flags, no_candidates, capsys
+    ):
+        rc = main(["run", "--data", iris_path, "--label", "species", *flags])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
+    def test_missing_aidm_is_data_error_before_any_candidate(
+        self, iris_path, tmp_path, no_candidates, capsys
+    ):
+        missing = tmp_path / "missing.csv"
+        rc = main(["run", "--data", iris_path, "--label", "species", "--k", "3",
+                   "--aidm", str(missing)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert str(missing) in err
 
     def test_help_is_0(self, capsys):
         assert main(["--help"]) == 0

@@ -137,6 +137,11 @@ class TestFcm:
         _, params = run_fcm(data, ClustererConfig("F", k=2, seed=6))
         assert params.rows.shape == (2, 2)
 
+    @pytest.mark.parametrize("fuzzifier", [1.0, 0.5, float("nan")])
+    def test_fuzzifier_must_exceed_one(self, fuzzifier):
+        with pytest.raises(ValueError, match="fuzzifier"):
+            ClustererConfig("F", k=2, seed=0, fuzzifier=fuzzifier)
+
 
 class TestLinkage:
     def test_blobs_single_link(self):
