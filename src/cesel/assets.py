@@ -22,10 +22,6 @@ def bundled_scmt() -> Scmt:
     return load_scmt(_data_path("scmt.tsv"))
 
 
-def bundled_script_dir() -> Path:
-    return _data_path("scripts")
-
-
 def load_script_arrays(
     script_dir: str | Path | None = None, scmt: Scmt | None = None
 ) -> list[GraphArray]:
@@ -34,7 +30,7 @@ def load_script_arrays(
     Files are taken in sorted name order; each file stem (uppercased) is
     the algorithm ID.
     """
-    directory = Path(script_dir) if script_dir is not None else bundled_script_dir()
+    directory = Path(script_dir) if script_dir is not None else _data_path("scripts")
     table = scmt if scmt is not None else bundled_scmt()
     arrays = []
     for path in sorted(directory.glob("*.cail")):
@@ -45,11 +41,9 @@ def load_script_arrays(
     return arrays
 
 
-def computed_aidm(
-    script_dir: str | Path | None = None, scmt: Scmt | None = None
-) -> Aidm:
-    """Independency matrix computed from a directory of modeling scripts."""
-    return build_aidm(load_script_arrays(script_dir, scmt))
+def computed_aidm() -> Aidm:
+    """Independency matrix computed from the bundled modeling scripts."""
+    return build_aidm(load_script_arrays())
 
 
 def iris_csv_path() -> Path:

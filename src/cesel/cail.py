@@ -238,12 +238,9 @@ def build_graph(script: CailScript) -> IndependencyGraph:
 
     def flush_to(target: int) -> None:
         nonlocal current, pending
-        symbols = tuple(s for s, _ in pending)
-        first = pending[0][1] if pending else None
-        edges.append(Edge(current, target, symbols, first))
-        for src, brk in loose_breaks:
-            syms = tuple(s for s, _ in brk)
-            edges.append(Edge(src, target, syms, brk[0][1] if brk else None))
+        for src, run in [(current, pending), *loose_breaks]:
+            first = run[0][1] if run else None
+            edges.append(Edge(src, target, tuple(s for s, _ in run), first))
         loose_breaks.clear()
         pending = []
         current = target
@@ -332,10 +329,10 @@ def export_dot(graph: IndependencyGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_script(path: str | Path, scmt: Scmt, name: str | None = None) -> CailScript:
-    """Parse a ``.cail`` file; the algorithm ID defaults to the file stem."""
+def load_script(path: str | Path, scmt: Scmt) -> CailScript:
+    """Parse a ``.cail`` file; the algorithm ID is the uppercased file stem."""
     path = Path(path)
-    return parse_cail(path.read_text(), scmt, name=name or path.stem.upper())
+    return parse_cail(path.read_text(), scmt, name=path.stem.upper())
 
 
 def script_to_array(source_text: str, scmt: Scmt, name: str = "script") -> GraphArray:

@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 pipeline failure
 """
 from __future__ import annotations
 
+import csv
 import json
 import sys
 from pathlib import Path
@@ -38,10 +39,6 @@ from .independency import build_aidm, save_aidm_csv
 @click.group()
 def cli():
     """Cluster ensemble selection toolkit."""
-
-
-def _load_dataset(data: str, label: str | None) -> Dataset:
-    return load_csv(data, label_column=label)
 
 
 def _pipeline_config(k, dt, committee, attempts, seed, aidm, consensus_mode,
@@ -85,7 +82,7 @@ def _pipeline_config(k, dt, committee, attempts, seed, aidm, consensus_mode,
 @click.option("--out", default=None, type=click.Path(), help="Write the run report JSON here.")
 def run(data, label, k, dt, committee, attempts, seed, aidm, consensus_mode, roster, out):
     """Run the selection pipeline on a dataset."""
-    dataset = _load_dataset(data, label)
+    dataset = load_csv(data, label_column=label)
     cfg = _pipeline_config(k, dt, committee, attempts, seed, aidm, consensus_mode, roster)
     partition, report = run_ces(dataset, cfg)
     if dataset.labels is not None:
@@ -115,7 +112,7 @@ def baseline(method, data, label, k, dt, committee, attempts, seed, aidm, roster
     """Mean accuracy of one method over repeated seeded runs."""
     from .harness import AccuracyResult, run_method, _rep_seed
 
-    dataset = _load_dataset(data, label)
+    dataset = load_csv(data, label_column=label)
     if dataset.labels is None:
         raise click.UsageError("baseline accuracy needs --label")
     cfg = _pipeline_config(k, dt, committee, attempts, seed, aidm, "weac", roster)
@@ -162,14 +159,12 @@ def cail(script, scmt_path, dot_out):
 
 
 @cli.command("gen-data")
-@click.option("--kind", default="half-ring", show_default=True,
-              type=click.Choice(["half-ring"]))
 @click.option("--n", default=400, type=int, show_default=True)
 @click.option("--noise", default=0.05, type=float, show_default=True)
 @click.option("--seed", default=0, type=int, show_default=True)
 @click.option("--out", required=True, type=click.Path())
-def gen_data(kind, n, noise, seed, out):
-    """Generate a labelled synthetic dataset as CSV."""
+def gen_data(n, noise, seed, out):
+    """Generate a labelled two-half-ring dataset as CSV."""
     dataset = gen_half_ring(n, noise, seed)
     _write_dataset_csv(dataset, out)
     click.echo(f"{dataset.n}x{dataset.d} dataset written to {out}")
@@ -184,7 +179,7 @@ def gen_data(kind, n, noise, seed, out):
 @click.option("--out", required=True, type=click.Path())
 def perturb(data, label, mode, rate, seed, out):
     """Corrupt a fraction of dataset cells and write the result."""
-    dataset = _load_dataset(data, label)
+    dataset = load_csv(data, label_column=label)
     fn = inject_missing if mode == "missing" else inject_noise
     perturbed = fn(dataset, rate, seed)
     _write_dataset_csv(perturbed, out, raw=(mode == "missing"))
@@ -204,7 +199,7 @@ def perturb(data, label, mode, rate, seed, out):
 @click.option("--out", default=None, type=click.Path())
 def sweep_dt_cmd(data, label, k, dts, committee, attempts, seed, reps, out):
     """Measure accuracy/cost across diversity thresholds."""
-    dataset = _load_dataset(data, label)
+    dataset = load_csv(data, label_column=label)
     cfg = _pipeline_config(k, 0.0, committee, attempts, seed, "reference", "weac")
     thresholds = [float(v) for v in dts.split(",") if v.strip()]
     rows = sweep_dt(dataset, cfg, thresholds, repetitions=reps)
@@ -217,11 +212,9 @@ def sweep_dt_cmd(data, label, k, dts, committee, attempts, seed, reps, out):
 
 
 def _write_dataset_csv(dataset: Dataset, out: str, raw: bool = True) -> None:
-    import csv as _csv
-
     matrix = dataset.raw if raw else dataset.samples
     with open(out, "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         names = list(dataset.feature_names) or [f"f{i}" for i in range(dataset.d)]
         header = names + (["label"] if dataset.labels is not None else [])
         writer.writerow(header)

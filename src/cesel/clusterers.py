@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._agglo import cut_merges, linkage_merge
-from .errors import AllMissingColumn, DegenerateSpectrum
+from .errors import AllMissingColumn, DegenerateSpectrum, InvalidK
 from .independency import BasicParams
 
 KMEANS_ID = "K"
@@ -26,6 +26,10 @@ ALGORITHM_IDS = (KMEANS_ID, FCM_ID) + LINKAGE_IDS + (SPECTRAL_SPARSE_ID,)
 
 _LINKAGE_NAMES = {"S": "single", "A": "average", "C": "complete", "W": "ward"}
 _HAMMING_TOL = 1e-9
+_FUZZIFIER = 2.0       # membership sharpness of the fuzzy clusterer
+_MAX_NEIGHBORS = 10    # sparse-graph degree, capped at n - 1
+_MAX_ITER = 300
+_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -78,24 +82,17 @@ class Partition:
 
 @dataclass(frozen=True)
 class ClustererConfig:
-    """One run's identity: algorithm, target k, seed, and hyperparameters."""
+    """One run's identity: algorithm, target k and seed."""
 
     algorithm_id: str
     k: int
     seed: int
-    fuzzifier: float = 2.0            # membership sharpness for the fuzzy clusterer
-    sigma: float | None = None        # similarity bandwidth; default: median distance
-    t_neighbors: int | None = None    # sparse-graph degree; default: min(10, n-1)
-    max_iter: int = 300
-    tol: float = 1e-6
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        if not self.fuzzifier > 1.0:
-            raise ValueError("fuzzifier must be > 1")
 
 
 def preprocess(
@@ -151,9 +148,7 @@ def _repair_empty(labels: np.ndarray, x: np.ndarray, centroids: np.ndarray, k: i
         centroids[c] = x[far]
 
 
-def _lloyd(
-    x: np.ndarray, k: int, rng: np.random.Generator, max_iter: int, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _lloyd(x: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Standard alternating assignment/centroid iteration.
 
     Returns (labels, initial_centroids). Initial centroids are k distinct
@@ -165,13 +160,13 @@ def _lloyd(
     centroids = x[init_idx].copy()
     initial = centroids.copy()
     labels = np.zeros(n, dtype=int)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         labels = np.argmin(_sq_distances(x, centroids), axis=1)
         _repair_empty(labels, x, centroids, k)
         new_centroids = np.array([x[labels == c].mean(axis=0) for c in range(k)])
         shift = float(np.abs(new_centroids - centroids).max())
         centroids = new_centroids
-        if shift < tol:
+        if shift < _TOL:
             break
     return labels, initial
 
@@ -179,9 +174,9 @@ def _lloyd(
 def run_kmeans(data: Dataset, cfg: ClustererConfig) -> tuple[Partition, BasicParams]:
     """Alternating-assignment clustering from k seeded random centroids."""
     if cfg.k > data.n:
-        raise ValueError(f"k={cfg.k} exceeds sample count {data.n}")
+        raise InvalidK(f"k={cfg.k} exceeds sample count {data.n}")
     rng = np.random.default_rng(cfg.seed)
-    labels, initial = _lloyd(data.samples, cfg.k, rng, cfg.max_iter, cfg.tol)
+    labels, initial = _lloyd(data.samples, cfg.k, rng)
     return Partition(labels, cfg.k), BasicParams(cfg.algorithm_id, initial)
 
 
@@ -189,14 +184,14 @@ def run_fcm(data: Dataset, cfg: ClustererConfig) -> tuple[Partition, BasicParams
     """Fuzzy-membership clustering, hardened by argmax at the end.
 
     Alternates the weighted-centroid and membership updates with the
-    configured fuzzifier until memberships move less than ``tol``. The
+    fixed fuzzifier until memberships move less than the tolerance. The
     starting parameters reported for independency are the k x d centroids
     implied by the random initial membership matrix.
     """
     if cfg.k > data.n:
-        raise ValueError(f"k={cfg.k} exceeds sample count {data.n}")
+        raise InvalidK(f"k={cfg.k} exceeds sample count {data.n}")
     x = data.samples
-    n, k, m = data.n, cfg.k, cfg.fuzzifier
+    n, k, m = data.n, cfg.k, _FUZZIFIER
     rng = np.random.default_rng(cfg.seed)
     u = rng.random((n, k)) + 1e-9
     u /= u.sum(axis=1, keepdims=True)
@@ -207,7 +202,7 @@ def run_fcm(data: Dataset, cfg: ClustererConfig) -> tuple[Partition, BasicParams
 
     initial = centroids_of(u)
     centroids = initial.copy()
-    for _ in range(cfg.max_iter):
+    for _ in range(_MAX_ITER):
         d2 = np.maximum(_sq_distances(x, centroids), 0.0)
         zero_rows = np.isclose(d2, 0.0).any(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -219,7 +214,7 @@ def run_fcm(data: Dataset, cfg: ClustererConfig) -> tuple[Partition, BasicParams
         change = float(np.abs(new_u - u).max())
         u = new_u
         centroids = centroids_of(u)
-        if change < cfg.tol:
+        if change < _TOL:
             break
     labels = np.argmax(u, axis=1)
     _repair_empty(labels, x, centroids.copy(), k)
@@ -265,10 +260,10 @@ def run_linkage(data: Dataset, cfg: ClustererConfig) -> tuple[Partition, BasicPa
     dependent at run level.
     """
     alg = cfg.algorithm_id
-    if len(alg) != 3 or alg[1] != "L" or alg[0] not in "SACW" or alg[2] not in "EHC":
+    if alg not in LINKAGE_IDS:
         raise ValueError(f"not a linkage algorithm ID: {alg!r}")
     if cfg.k > data.n:
-        raise ValueError(f"k={cfg.k} exceeds sample count {data.n}")
+        raise InvalidK(f"k={cfg.k} exceeds sample count {data.n}")
     dist = _DISTANCE_FNS[alg[2]](data.samples)
     merges = linkage_merge(dist, _LINKAGE_NAMES[alg[0]])
     labels = cut_merges(merges, data.n, cfg.k)
@@ -282,22 +277,20 @@ def run_spectral_sparse(data: Dataset, cfg: ClustererConfig) -> tuple[Partition,
     """Spectral clustering on a t-nearest-neighbour similarity graph.
 
     Builds the symmetrized sparse graph, applies a Gaussian kernel
-    (bandwidth = median pairwise distance unless configured), forms the
-    degree-normalized similarity matrix, embeds samples into its top-k
-    eigenvectors by magnitude, row-normalizes, and clusters the embedding
-    with the seeded assignment loop. Starting parameters are the initial
-    centroids in the embedded space.
+    (bandwidth = median pairwise distance), forms the degree-normalized
+    similarity matrix, embeds samples into its top-k eigenvectors by
+    magnitude, row-normalizes, and clusters the embedding with the seeded
+    assignment loop. Starting parameters are the initial centroids in the
+    embedded space.
     """
     n, k = data.n, cfg.k
     if k > n:
-        raise ValueError(f"k={cfg.k} exceeds sample count {n}")
-    t = cfg.t_neighbors if cfg.t_neighbors is not None else min(10, n - 1)
-    if not 1 <= t < n:
-        raise ValueError(f"neighbour count t={t} outside [1, {n - 1}]")
+        raise InvalidK(f"k={cfg.k} exceeds sample count {n}")
+    t = min(_MAX_NEIGHBORS, n - 1)
 
     dist = euclidean_matrix(data.samples)
     off_diag = dist[~np.eye(n, dtype=bool)]
-    sigma = cfg.sigma if cfg.sigma is not None else float(np.median(off_diag))
+    sigma = float(np.median(off_diag))
     if sigma <= 0:
         sigma = 1.0
 
@@ -325,7 +318,7 @@ def run_spectral_sparse(data: Dataset, cfg: ClustererConfig) -> tuple[Partition,
     embedding = embedding / np.where(row_norm > 0, row_norm, 1.0)
 
     rng = np.random.default_rng(cfg.seed)
-    labels, initial = _lloyd(embedding, k, rng, cfg.max_iter, cfg.tol)
+    labels, initial = _lloyd(embedding, k, rng)
     return Partition(labels, k), BasicParams(cfg.algorithm_id, initial)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -44,7 +44,9 @@ def eac(partitions: list[Partition]) -> np.ndarray:
     """Evidence accumulation: fraction of partitions co-clustering each pair.
 
     Returns the n x n co-association matrix; the diagonal is exactly 1
-    because every sample co-clusters with itself in every partition.
+    because every sample co-clusters with itself in every partition. The
+    pipeline gets the same matrix from :func:`weac` with unit weights;
+    this function is the unweighted reference.
     """
     if not partitions:
         raise EmptyCommittee("evidence accumulation needs at least one partition")
@@ -145,17 +147,7 @@ class PipelineConfig:
             raise ValueError("roster must not be empty")
 
     def to_dict(self) -> dict:
-        return {
-            "k_final": self.k_final,
-            "d_threshold": self.d_threshold,
-            "committee_target": self.committee_target,
-            "max_attempts": self.max_attempts,
-            "seed": self.seed,
-            "aidm_source": self.aidm_source,
-            "consensus": self.consensus,
-            "roster": list(self.roster),
-            "vary_k": self.vary_k,
-        }
+        return {**asdict(self), "roster": list(self.roster)}
 
 
 @dataclass(frozen=True)
@@ -188,7 +180,8 @@ class RunReport:
 def resolve_aidm(cfg: PipelineConfig) -> Aidm:
     """Locate the independency matrix named by ``cfg.aidm_source``.
 
-    Raises :class:`DataFileError` when a CSV path cannot be opened or read.
+    Raises :class:`DataFileError` when a CSV path cannot be opened or read,
+    or holds no valid independency matrix.
     """
     if cfg.aidm_source == "reference":
         return reference_aidm()
@@ -199,6 +192,8 @@ def resolve_aidm(cfg: PipelineConfig) -> Aidm:
     except OSError as exc:
         reason = exc.strerror or str(exc)
         raise DataFileError(f"cannot read AIDM file {cfg.aidm_source!r}: {reason}") from exc
+    except ValueError as exc:
+        raise DataFileError(f"invalid AIDM file {cfg.aidm_source!r}: {exc}") from exc
 
 
 def _candidate_config(cfg: PipelineConfig, data_n: int, run_index: int) -> ClustererConfig:
@@ -265,12 +260,9 @@ def run_ces(data: Dataset, cfg: PipelineConfig) -> tuple[Partition, RunReport]:
 
     if cfg.consensus == "weac":
         weights = ai_weights(committee, aidm)
-        co_assoc = weac(committee, weights)
     else:
-        weights = np.ones(len(committee))
-        co_assoc = eac([e.partition for e in committee])
-
-    final = cut(average_linkage(co_assoc), cfg.k_final)
+        weights = np.ones(len(committee))  # unit weights: exactly eac
+    final = cut(average_linkage(weac(committee, weights)), cfg.k_final)
 
     per_entry = tuple(
         {

@@ -83,7 +83,7 @@ class WeightMismatch(CeselError):
     """Weight vector length does not match the committee."""
 
 
-class InvalidK(CeselError):
+class InvalidK(CeselError, ValueError):
     """Requested cluster count is outside [1, n]."""
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -23,6 +22,7 @@ from .consensus import PipelineConfig, run_ces
 from .errors import LengthMismatch, ParseError
 
 _MISSING_TOKENS = {"", "na", "nan", "null", "none", "?"}
+_SINGLE_CLUSTERER_IDS = {"kmeans": "K", "spectral": "SPS"}
 
 
 def load_csv(path: str | Path, label_column: str | None = None) -> Dataset:
@@ -125,11 +125,8 @@ def accuracy(pred: Partition, truth) -> float:
     classes, truth_codes = np.unique(truth, return_inverse=True)
     table = np.zeros((pred.k, classes.size), dtype=int)
     np.add.at(table, (pred.assignments, truth_codes), 1)
-    side = max(table.shape)
-    padded = np.zeros((side, side), dtype=int)
-    padded[: table.shape[0], : table.shape[1]] = table
-    rows, cols = linear_sum_assignment(padded, maximize=True)
-    return 100.0 * padded[rows, cols].sum() / truth.size
+    rows, cols = linear_sum_assignment(table, maximize=True)
+    return 100.0 * table[rows, cols].sum() / truth.size
 
 
 def _pick_cells(n: int, d: int, rate: float, seed: int) -> np.ndarray:
@@ -211,12 +208,9 @@ def _rep_seed(master: int, tag: int, rep: int) -> int:
 
 def run_method(method: str, data: Dataset, pipeline: PipelineConfig, seed: int) -> Partition:
     """One run of a named method with an explicit seed."""
-    if method == "kmeans":
-        part, _ = run_algorithm(data, ClustererConfig("K", k=pipeline.k_final, seed=seed))
-        return part
-    if method == "spectral":
-        part, _ = run_algorithm(data, ClustererConfig("SPS", k=pipeline.k_final, seed=seed))
-        return part
+    if method in _SINGLE_CLUSTERER_IDS:
+        cfg = ClustererConfig(_SINGLE_CLUSTERER_IDS[method], k=pipeline.k_final, seed=seed)
+        return run_algorithm(data, cfg)[0]
     if method == "eac":
         cfg = replace(pipeline, consensus="eac", d_threshold=0.0, seed=seed)
         return run_ces(data, cfg)[0]
@@ -299,9 +293,8 @@ def sweep_dt(
         for rep in range(repetitions):
             cfg = replace(pipeline, d_threshold=float(dt),
                           seed=_rep_seed(pipeline.seed, 77, rep))
-            t0 = time.perf_counter()
             part, report = run_ces(data, cfg)
-            walls.append((time.perf_counter() - t0) * 1000.0)
+            walls.append(report.wall_time_ms)
             ratios.append(report.attempts / report.n_ce)
             if data.labels is not None:
                 accs.append(accuracy(part, data.labels))

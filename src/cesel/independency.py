@@ -62,24 +62,29 @@ def build_cddm(a: GraphArray, b: GraphArray) -> Cddm:
     return Cddm(a.name, b.name, values)
 
 
-def max_cells(cddm: Cddm) -> list[float]:
-    """Greedy extraction of matrix maxima.
+def _greedy_extract(values: np.ndarray, pick) -> list[float]:
+    """Greedy one-to-one extraction of matrix entries.
 
-    Repeatedly takes the global maximum of what is left, then deletes its
-    row and column; ties go to the smallest row index, then the smallest
-    column index. Stops after min(rows, cols) extractions.
+    Repeatedly takes the entry that ``pick`` (``np.argmax`` or
+    ``np.argmin``) selects from what is left, then deletes its row and
+    column; ties go to the smallest row index, then the smallest column
+    index. Stops after min(rows, cols) extractions.
     """
-    m = cddm.values.copy()
-    rows = list(range(m.shape[0]))
-    cols = list(range(m.shape[1]))
+    rows = list(range(values.shape[0]))
+    cols = list(range(values.shape[1]))
     picked: list[float] = []
-    for _ in range(min(m.shape)):
-        sub = m[np.ix_(rows, cols)]
-        r, c = np.unravel_index(int(np.argmax(sub)), sub.shape)
+    for _ in range(min(values.shape)):
+        sub = values[np.ix_(rows, cols)]
+        r, c = np.unravel_index(int(pick(sub)), sub.shape)
         picked.append(float(sub[r, c]))
         del rows[r]
         del cols[c]
     return picked
+
+
+def max_cells(cddm: Cddm) -> list[float]:
+    """Greedy extraction of matrix maxima (see :func:`_greedy_extract`)."""
+    return _greedy_extract(cddm.values, np.argmax)
 
 
 def aid(a: GraphArray, b: GraphArray) -> float:
@@ -103,8 +108,14 @@ class Aidm:
 
     def __post_init__(self):
         n = len(self.algorithm_ids)
-        if self.values.shape != (n, n):
+        v = self.values
+        if v.shape != (n, n):
             raise ValueError("matrix shape does not match the ID list")
+        off = v[~np.eye(n, dtype=bool)]  # NaN fails every test below
+        if not (np.array_equal(v, v.T) and (np.diag(v) == -1.0).all()
+                and ((off >= 0.0) & (off <= 1.0)).all()):
+            raise ValueError("independency matrix must be symmetric, -1 on the diagonal "
+                             "and in [0, 1] elsewhere")
 
     def index(self, algorithm_id: str) -> int:
         try:
@@ -148,15 +159,27 @@ def _fmt(v: float) -> str:
 
 
 def load_aidm_csv(path: str | Path) -> Aidm:
-    """Read an independency matrix CSV written by :func:`save_aidm_csv`."""
+    """Read an independency matrix CSV written by :func:`save_aidm_csv`.
+
+    Raises ``ValueError`` for a file without a header row of IDs, a row
+    count or row length that does not match the header, a row label that
+    differs from its header ID, a non-numeric cell, or a matrix that
+    :class:`Aidm` rejects.
+    """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
+    if not rows or len(rows[0]) < 2:
+        raise ValueError("no header row of algorithm IDs")
     ids = tuple(h.strip() for h in rows[0][1:])
-    values = np.empty((len(ids), len(ids)))
-    for i, row in enumerate(rows[1:]):
-        if row[0].strip() != ids[i]:
-            raise ValueError(f"{path}: row label {row[0]!r} does not match header")
-        values[i] = [float(v) for v in row[1:]]
+    body = rows[1:]
+    if len(body) != len(ids) or any(len(row) != len(ids) + 1 for row in body):
+        raise ValueError(f"expected {len(ids)} rows of {len(ids) + 1} cells below the header")
+    if tuple(row[0].strip() for row in body) != ids:
+        raise ValueError("row labels do not match the header")
+    try:
+        values = np.array([[float(v) for v in row[1:]] for row in body])
+    except ValueError:
+        raise ValueError("non-numeric cell") from None
     return Aidm(ids, values)
 
 
@@ -209,16 +232,7 @@ def bpi(p1: BasicParams, p2: BasicParams) -> float:
         )
     diff = p1.rows[:, None, :] - p2.rows[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=2))
-    rows = list(range(dist.shape[0]))
-    cols = list(range(dist.shape[1]))
-    matched: list[float] = []
-    for _ in range(min(dist.shape)):
-        sub = dist[np.ix_(rows, cols)]
-        r, c = np.unravel_index(int(np.argmin(sub)), sub.shape)
-        matched.append(float(sub[r, c]))
-        del rows[r]
-        del cols[c]
-    t = float(np.mean(matched))
+    t = float(np.mean(_greedy_extract(dist, np.argmin)))
     return t / (1.0 + t)
 
 
@@ -259,16 +273,10 @@ def _pad_to_common(p1: BasicParams, p2: BasicParams) -> tuple[BasicParams, Basic
     are k x k); eigen-embeddings nest, so padding the missing trailing
     coordinates with zeros keeps distances meaningful.
     """
-    d1, d2 = p1.rows.shape[1], p2.rows.shape[1]
-    if d1 == d2:
-        return p1, p2
-    width = max(d1, d2)
+    width = max(p1.rows.shape[1], p2.rows.shape[1])
 
     def pad(p: BasicParams) -> BasicParams:
-        if p.rows.shape[1] == width:
-            return p
-        rows = np.zeros((p.rows.shape[0], width))
-        rows[:, : p.rows.shape[1]] = p.rows
-        return BasicParams(p.algorithm_id, rows)
+        extra = width - p.rows.shape[1]
+        return BasicParams(p.algorithm_id, np.pad(p.rows, ((0, 0), (0, extra)))) if extra else p
 
     return pad(p1), pad(p2)

@@ -156,6 +156,38 @@ class TestExitCodes:
         assert rc == 1
         assert err.startswith("usage error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("method", ["kmeans", "spectral"])
+    def test_baseline_k_above_n_is_usage_error(self, iris_path, method, capsys):
+        rc = main(["baseline", "--method", method, "--data", iris_path,
+                   "--label", "species", "--k", "500", "--reps", "1"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", [
+        "",
+        ",K,F\nK,-1,0.5\n",
+        ",K,F\nK,-1,0.5\nF,0.5\n",
+        ",K,F\nK,-1,oops\nF,0.5,-1\n",
+        ",K,F\nF,-1,0.5\nK,0.5,-1\n",
+        ",K,F\nK,-1,0.5\nF,0.4,-1\n",
+        ",K,F\nK,0,0.5\nF,0.5,-1\n",
+        ",K,F\nK,-1,1.5\nF,1.5,-1\n",
+        ",K,F\nK,-1,nan\nF,nan,-1\n",
+    ], ids=["empty", "missing-row", "ragged-row", "non-numeric", "label-order",
+            "asymmetric", "diagonal", "above-one", "nan"])
+    def test_bad_aidm_is_data_error_before_any_candidate(
+        self, iris_path, tmp_path, text, no_candidates, capsys
+    ):
+        bad = tmp_path / "aidm.csv"
+        bad.write_text(text)
+        rc = main(["run", "--data", iris_path, "--label", "species", "--k", "3",
+                   "--aidm", str(bad)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert str(bad) in err
+
     def test_missing_aidm_is_data_error_before_any_candidate(
         self, iris_path, tmp_path, no_candidates, capsys
     ):

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from cesel import clusterers
 from cesel.clusterers import (
     ALGORITHM_IDS,
     ClustererConfig,
@@ -137,11 +138,6 @@ class TestFcm:
         _, params = run_fcm(data, ClustererConfig("F", k=2, seed=6))
         assert params.rows.shape == (2, 2)
 
-    @pytest.mark.parametrize("fuzzifier", [1.0, 0.5, float("nan")])
-    def test_fuzzifier_must_exceed_one(self, fuzzifier):
-        with pytest.raises(ValueError, match="fuzzifier"):
-            ClustererConfig("F", k=2, seed=0, fuzzifier=fuzzifier)
-
 
 class TestLinkage:
     def test_blobs_single_link(self):
@@ -221,14 +217,11 @@ class TestSpectralSparse:
         part, _ = run_spectral_sparse(data, ClustererConfig("SPS", k=2, seed=2))
         assert accuracy(part, data.labels) == 100.0
 
-    def test_dense_graph_matches_sparse_on_blobs(self):
+    def test_dense_graph_matches_sparse_on_blobs(self, monkeypatch):
         data = gen_blobs(15, [[0, 0], [20, 20]], 0.5, seed=23)
-        sparse, _ = run_spectral_sparse(
-            data, ClustererConfig("SPS", k=2, seed=5, t_neighbors=10)
-        )
-        dense, _ = run_spectral_sparse(
-            data, ClustererConfig("SPS", k=2, seed=5, t_neighbors=data.n - 1)
-        )
+        sparse, _ = run_spectral_sparse(data, ClustererConfig("SPS", k=2, seed=5))
+        monkeypatch.setattr(clusterers, "_MAX_NEIGHBORS", data.n - 1)
+        dense, _ = run_spectral_sparse(data, ClustererConfig("SPS", k=2, seed=5))
         assert _same_up_to_relabel(sparse, dense)
 
     def test_params_live_in_embedded_space(self):

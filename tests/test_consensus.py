@@ -1,6 +1,8 @@
 """Co-association evidence, merge tree, cut, and the full pipeline."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cesel.clusterers import Partition
 from cesel.consensus import (
@@ -92,6 +94,19 @@ class TestWeac:
         off = c[~np.eye(3, dtype=bool)]
         assert np.all(off == 0.0)
         assert np.all(np.diag(c) == 1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_sample_permutation_equivariance(self, data):
+        m = data.draw(st.integers(1, 6))
+        n = data.draw(st.integers(2, 25))
+        labels = data.draw(arrays(np.int64, (m, n), elements=st.integers(0, 3)))
+        weights = data.draw(arrays(np.float64, m, elements=st.floats(0, 1)))
+        perm = np.asarray(data.draw(st.permutations(range(n))))
+        entries = [entry(part(row, 4), run_index=i) for i, row in enumerate(labels)]
+        permuted = [entry(part(row[perm], 4), run_index=i) for i, row in enumerate(labels)]
+        c = weac(entries, weights)
+        assert np.array_equal(weac(permuted, weights), c[np.ix_(perm, perm)])
 
     def test_weight_mismatch(self):
         entries = [entry(part([0, 1]), run_index=0)]

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cesel.clusterers import Partition
 from cesel.diversity import aapmm, aapmm_raw, admit, apmm, uniformity
@@ -98,6 +99,18 @@ class TestAapmm:
     def test_mismatched_sizes_rejected(self):
         with pytest.raises(ValueError):
             aapmm(part([0, 1]), part([0, 1, 0]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_relabel_invariance(self, data):
+        n = data.draw(st.integers(2, 30))
+        p = part(data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)), 5)
+        ref = part(data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)), 5)
+        relabel = np.asarray(data.draw(st.permutations(range(5))))
+        value = aapmm(p, ref)
+        # Relabelling reorders the floating-point sums, so allow a few ulps.
+        assert aapmm(part(relabel[p.assignments], 5), ref) == pytest.approx(value, abs=1e-12)
+        assert aapmm(p, part(relabel[ref.assignments], 5)) == pytest.approx(value, abs=1e-12)
 
 
 class TestUniformity:

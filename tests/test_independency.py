@@ -3,6 +3,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from cesel import assets
 from cesel.cail import GraphArray
@@ -17,6 +19,8 @@ from cesel.errors import (
 )
 from cesel.independency import (
     BasicParams,
+    Cddm,
+    _greedy_extract,
     ai_weights,
     aid,
     bpi,
@@ -281,6 +285,45 @@ class TestBpi:
                 for p in itertools.permutations(range(n))
             )
             assert sum(greedy) >= best - 1e-12
+
+
+def seed_max_cells(values):
+    """The graph-level greedy max extraction as it stood before sharing a loop."""
+    m = values.copy()
+    rows = list(range(m.shape[0]))
+    cols = list(range(m.shape[1]))
+    picked = []
+    for _ in range(min(m.shape)):
+        sub = m[np.ix_(rows, cols)]
+        r, c = np.unravel_index(int(np.argmax(sub)), sub.shape)
+        picked.append(float(sub[r, c]))
+        del rows[r]
+        del cols[c]
+    return picked
+
+
+def seed_min_matching(dist):
+    """The run-level greedy min matching of ``bpi`` before sharing a loop."""
+    rows = list(range(dist.shape[0]))
+    cols = list(range(dist.shape[1]))
+    matched = []
+    for _ in range(min(dist.shape)):
+        sub = dist[np.ix_(rows, cols)]
+        r, c = np.unravel_index(int(np.argmin(sub)), sub.shape)
+        matched.append(float(sub[r, c]))
+        del rows[r]
+        del cols[c]
+    return matched
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.int64, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
+              elements=st.integers(0, 3)))
+def test_greedy_extract_matches_seed_loops(values):
+    values = values.astype(float)  # small integers: many exact ties
+    assert max_cells(Cddm("a", "b", values)) == seed_max_cells(values)
+    assert _greedy_extract(values, np.argmax) == seed_max_cells(values)
+    assert _greedy_extract(values, np.argmin) == seed_min_matching(values)
 
 
 def _sorted_greedy(dist):
