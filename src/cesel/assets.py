@@ -6,6 +6,7 @@ and the small labelled flower dataset used by the experiment harness.
 """
 from __future__ import annotations
 
+import functools
 from importlib import resources
 from pathlib import Path
 
@@ -41,8 +42,9 @@ def load_script_arrays(
     return arrays
 
 
+@functools.cache
 def computed_aidm() -> Aidm:
-    """Independency matrix computed from the bundled modeling scripts."""
+    """Independency matrix computed from the bundled modeling scripts, once."""
     return build_aidm(load_script_arrays())
 
 

@@ -128,9 +128,37 @@ def preprocess(
 
 # --- shared pieces ----------------------------------------------------------
 
+# NumPy adds fewer than 8 terms of a reduction left to right and switches to
+# 8 interleaved accumulators from 8 terms on. Up to this many terms, adding
+# them one array at a time gives its result bit for bit, without one tiny
+# reduction per output element.
+_SEQUENTIAL_TERMS = 7
+
+
+def _sum_terms(count: int, term, stacked) -> np.ndarray:
+    """``stacked().sum(axis=-1)``, bit for bit, from ``term(j) = stacked()[..., j]``.
+
+    Short sums add the ``count`` terms left to right; longer ones fall back
+    to the reduction itself. ``term`` must return a fresh array.
+    """
+    if count > _SEQUENTIAL_TERMS:
+        return stacked().sum(axis=-1)
+    acc = term(0)
+    for j in range(1, count):
+        acc += term(j)
+    return acc
+
+
 def _sq_distances(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    diff = x[:, None, :] - centroids[None, :, :]
-    return (diff * diff).sum(axis=2)
+    def term(j: int) -> np.ndarray:
+        diff = x[:, j, None] - centroids[None, :, j]
+        return diff * diff
+
+    def stacked() -> np.ndarray:
+        diff = x[:, None, :] - centroids[None, :, :]
+        return diff * diff
+
+    return _sum_terms(x.shape[1], term, stacked)
 
 
 def _repair_empty(labels: np.ndarray, x: np.ndarray, centroids: np.ndarray, k: int) -> None:
@@ -180,6 +208,25 @@ def run_kmeans(data: Dataset, cfg: ClustererConfig) -> tuple[Partition, BasicPar
     return Partition(labels, cfg.k), BasicParams(cfg.algorithm_id, initial)
 
 
+def _memberships(d2: np.ndarray) -> np.ndarray:
+    """Fuzzy memberships (n x k) from squared distances to the centroids.
+
+    A sample at distance zero (within ``isclose``'s default 1e-8, the same
+    test on non-negative values) from some centroids splits its membership
+    evenly among those.
+    """
+    zero = d2 <= 1e-8
+    zero_rows = zero.any(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = d2 ** (-1.0 / (_FUZZIFIER - 1.0))
+        total = _sum_terms(inv.shape[1], lambda j: inv[:, j].copy(), lambda: inv)
+        u = inv / total[:, None]
+    if zero_rows.any():
+        hits = zero[zero_rows]
+        u[zero_rows] = hits / hits.sum(axis=1, keepdims=True)
+    return u
+
+
 def run_fcm(data: Dataset, cfg: ClustererConfig) -> tuple[Partition, BasicParams]:
     """Fuzzy-membership clustering, hardened by argmax at the end.
 
@@ -191,26 +238,19 @@ def run_fcm(data: Dataset, cfg: ClustererConfig) -> tuple[Partition, BasicParams
     if cfg.k > data.n:
         raise InvalidK(f"k={cfg.k} exceeds sample count {data.n}")
     x = data.samples
-    n, k, m = data.n, cfg.k, _FUZZIFIER
+    n, k = data.n, cfg.k
     rng = np.random.default_rng(cfg.seed)
     u = rng.random((n, k)) + 1e-9
     u /= u.sum(axis=1, keepdims=True)
 
     def centroids_of(memberships: np.ndarray) -> np.ndarray:
-        w = memberships**m
+        w = memberships**_FUZZIFIER
         return (w.T @ x) / w.sum(axis=0)[:, None]
 
     initial = centroids_of(u)
     centroids = initial.copy()
     for _ in range(_MAX_ITER):
-        d2 = np.maximum(_sq_distances(x, centroids), 0.0)
-        zero_rows = np.isclose(d2, 0.0).any(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = d2 ** (-1.0 / (m - 1.0))
-            new_u = inv / inv.sum(axis=1, keepdims=True)
-        if zero_rows.any():
-            hits = np.isclose(d2[zero_rows], 0.0)
-            new_u[zero_rows] = hits / hits.sum(axis=1, keepdims=True)
+        new_u = _memberships(_sq_distances(x, centroids))
         change = float(np.abs(new_u - u).max())
         u = new_u
         centroids = centroids_of(u)
@@ -224,14 +264,20 @@ def run_fcm(data: Dataset, cfg: ClustererConfig) -> tuple[Partition, BasicParams
 # --- linkage family ----------------------------------------------------------
 
 def euclidean_matrix(x: np.ndarray) -> np.ndarray:
-    d2 = _sq_distances(x, x)
-    return np.sqrt(np.maximum(d2, 0.0))
+    return np.sqrt(_sq_distances(x, x))
 
 
 def hamming_matrix(x: np.ndarray) -> np.ndarray:
-    """Fraction of coordinates differing by more than a small tolerance."""
-    differs = np.abs(x[:, None, :] - x[None, :, :]) > _HAMMING_TOL
-    return differs.mean(axis=2)
+    """Fraction of coordinates differing by more than a small tolerance.
+
+    Counts one coordinate at a time; a count of 0/1 values is exact in any
+    order, so this equals the mean over a stacked (n, n, d) mask.
+    """
+    n, d = x.shape
+    count = np.zeros((n, n))
+    for j in range(d):
+        count += np.abs(x[:, j, None] - x[None, :, j]) > _HAMMING_TOL
+    return count / d
 
 
 def cosine_matrix(x: np.ndarray) -> np.ndarray:

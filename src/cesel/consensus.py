@@ -17,11 +17,19 @@ import numpy as np
 
 from . import assets
 from ._agglo import cut_merges, linkage_merge
-from .clusterers import ALGORITHM_IDS, ClustererConfig, Dataset, Partition, run_algorithm
+from .clusterers import (
+    ALGORITHM_IDS,
+    LINKAGE_IDS,
+    ClustererConfig,
+    Dataset,
+    Partition,
+    run_algorithm,
+)
 from .diversity import admit
 from .errors import (
     CommitteeTooSmall,
     DataFileError,
+    DegenerateSpectrum,
     EmptyCommittee,
     InvalidK,
     WeightMismatch,
@@ -158,7 +166,8 @@ class RunReport:
     n_ce: int
     attempts: int
     per_entry: tuple[dict, ...]    # {algorithm, weight, diversity, run_index}
-    trace: tuple[dict, ...]        # every attempt: {run_index, algorithm, diversity, admitted}
+    trace: tuple[dict, ...]        # every attempt: {run_index, algorithm, diversity, admitted},
+                                   # plus {error, message} when the candidate failed
     config: dict
     wall_time_ms: float
 
@@ -217,31 +226,46 @@ def run_ces(data: Dataset, cfg: PipelineConfig) -> tuple[Partition, RunReport]:
     by the diversity gate, and capped by ``max_attempts`` so the loop
     always terminates. Raises :class:`CommitteeTooSmall` when fewer than
     two candidates get admitted. A final k above the sample count
-    (:class:`InvalidK`) and an unreadable AIDM for ``weac``
-    (:class:`DataFileError`) fail before any candidate runs.
+    (:class:`InvalidK`) and, for ``weac``, an unreadable AIDM or one that
+    lacks a roster algorithm (:class:`DataFileError`) fail before any
+    candidate runs. A candidate whose spectrum degenerates is recorded in
+    the trace with its error and not admitted.
+
+    Linkage runs ignore the seed, so each (algorithm, k) is clustered
+    once per call and its result reused by later candidates.
     """
     t0 = time.perf_counter()
     if cfg.k_final > data.n:
         raise InvalidK(f"cannot cut {data.n} samples into {cfg.k_final} clusters")
     aidm = resolve_aidm(cfg) if cfg.consensus == "weac" else None
+    if aidm is not None:
+        missing = [a for a in cfg.roster if a not in aidm.algorithm_ids]
+        if missing:
+            raise DataFileError(
+                f"AIDM {cfg.aidm_source!r} lacks roster algorithm(s) {', '.join(missing)}"
+            )
     committee: list[CommitteeEntry] = []
     trace: list[dict] = []
+    linkage_runs: dict[tuple[str, int], tuple[Partition, BasicParams]] = {}
     attempts = 0
     for run_index in range(cfg.max_attempts):
         if len(committee) >= cfg.committee_target:
             break
         attempts += 1
         run_cfg = _candidate_config(cfg, data.n, run_index)
-        partition, params = run_algorithm(data, run_cfg)
+        attempt = {"run_index": run_index, "algorithm": run_cfg.algorithm_id}
+        trace.append(attempt)
+        key = (run_cfg.algorithm_id, run_cfg.k)
+        try:
+            partition, params = linkage_runs.get(key) or run_algorithm(data, run_cfg)
+        except DegenerateSpectrum as exc:
+            attempt.update(diversity=None, admitted=False,
+                           error=type(exc).__name__, message=str(exc))
+            continue
+        if run_cfg.algorithm_id in LINKAGE_IDS:
+            linkage_runs[key] = partition, params
         report = admit(partition, [e.partition for e in committee], cfg.d_threshold)
-        trace.append(
-            {
-                "run_index": run_index,
-                "algorithm": run_cfg.algorithm_id,
-                "diversity": report.div,
-                "admitted": report.admitted,
-            }
-        )
+        attempt.update(diversity=report.div, admitted=report.admitted)
         if report.admitted:
             committee.append(
                 CommitteeEntry(

@@ -32,11 +32,19 @@ def apmm(cluster_members: np.ndarray, partition: Partition, n_total: int) -> flo
         raise ValueError(f"cluster size {n_c} outside [1, {n_total}]")
     if len(np.unique(cluster_members)) != n_c:
         raise ValueError("cluster member indices must be unique")
+    return _apmm(n_c, n_total, _size_entropy_term(partition, n_total))
+
+
+def _size_entropy_term(partition: Partition, n_total: int) -> float:
+    """The reference partition's share of the :func:`apmm` denominator."""
     sizes = np.bincount(partition.assignments, minlength=partition.k)
+    return sum(s * math.log(s / n_total) for s in sizes if s > 0)
+
+
+def _apmm(n_c: int, n_total: int, ref_term: float) -> float:
+    """:func:`apmm` of a cluster of ``n_c`` samples, given the reference's term."""
     numerator = -2.0 * n_c * math.log(n_total / n_c)
-    denominator = n_c * math.log(n_c / n_total) + sum(
-        s * math.log(s / n_total) for s in sizes if s > 0
-    )
+    denominator = n_c * math.log(n_c / n_total) + ref_term
     if denominator == 0.0:
         # both sides are the degenerate single full cluster
         return 1.0
@@ -52,11 +60,8 @@ def aapmm_raw(p: Partition, ref: Partition) -> float:
     n = len(p.assignments)
     if n != len(ref.assignments):
         raise ValueError("partitions cover different sample counts")
-    scores = [
-        apmm(np.flatnonzero(p.assignments == c), ref, n)
-        for c in range(p.k)
-        if np.any(p.assignments == c)
-    ]
+    ref_term = _size_entropy_term(ref, n)
+    scores = [_apmm(int(n_c), n, ref_term) for n_c in p.cluster_sizes() if n_c > 0]
     return float(np.mean(scores))
 
 

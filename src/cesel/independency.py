@@ -11,6 +11,7 @@ combine into one scalar weight per committee entry.
 from __future__ import annotations
 
 import csv
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
@@ -108,7 +109,9 @@ class Aidm:
 
     def __post_init__(self):
         n = len(self.algorithm_ids)
-        v = self.values
+        v = np.array(self.values, dtype=float)
+        v.flags.writeable = False  # instances are shared (see reference_aidm)
+        object.__setattr__(self, "values", v)
         if v.shape != (n, n):
             raise ValueError("matrix shape does not match the ID list")
         off = v[~np.eye(n, dtype=bool)]  # NaN fails every test below
@@ -161,16 +164,18 @@ def _fmt(v: float) -> str:
 def load_aidm_csv(path: str | Path) -> Aidm:
     """Read an independency matrix CSV written by :func:`save_aidm_csv`.
 
-    Raises ``ValueError`` for a file without a header row of IDs, a row
-    count or row length that does not match the header, a row label that
-    differs from its header ID, a non-numeric cell, or a matrix that
-    :class:`Aidm` rejects.
+    Raises ``ValueError`` for a file without a header row of IDs, a
+    repeated ID, a row count or row length that does not match the header,
+    a row label that differs from its header ID, a non-numeric cell, or a
+    matrix that :class:`Aidm` rejects.
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or len(rows[0]) < 2:
         raise ValueError("no header row of algorithm IDs")
     ids = tuple(h.strip() for h in rows[0][1:])
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"duplicate algorithm IDs in the header: {list(ids)}")
     body = rows[1:]
     if len(body) != len(ids) or any(len(row) != len(ids) + 1 for row in body):
         raise ValueError(f"expected {len(ids)} rows of {len(ids) + 1} cells below the header")
@@ -183,8 +188,9 @@ def load_aidm_csv(path: str | Path) -> Aidm:
     return Aidm(ids, values)
 
 
+@functools.cache
 def reference_aidm() -> Aidm:
-    """The bundled 20-algorithm reference independency matrix."""
+    """The bundled 20-algorithm reference independency matrix, read once."""
     return load_aidm_csv(Path(str(resources.files("cesel.data").joinpath("aidm_reference.csv"))))
 
 

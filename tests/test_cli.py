@@ -174,8 +174,9 @@ class TestExitCodes:
         ",K,F\nK,0,0.5\nF,0.5,-1\n",
         ",K,F\nK,-1,1.5\nF,1.5,-1\n",
         ",K,F\nK,-1,nan\nF,nan,-1\n",
+        ",K,K\nK,-1,0.5\nK,0.5,-1\n",
     ], ids=["empty", "missing-row", "ragged-row", "non-numeric", "label-order",
-            "asymmetric", "diagonal", "above-one", "nan"])
+            "asymmetric", "diagonal", "above-one", "nan", "duplicate-id"])
     def test_bad_aidm_is_data_error_before_any_candidate(
         self, iris_path, tmp_path, text, no_candidates, capsys
     ):
@@ -198,6 +199,18 @@ class TestExitCodes:
         assert rc == 2
         assert err.startswith("data error: ") and err.count("\n") == 1
         assert str(missing) in err
+
+    def test_aidm_without_a_roster_algorithm_is_data_error_before_any_candidate(
+        self, iris_path, tmp_path, no_candidates, capsys
+    ):
+        path = tmp_path / "aidm.csv"
+        path.write_text(",K,F\nK,-1,0.5\nF,0.5,-1\n")
+        rc = main(["run", "--data", iris_path, "--label", "species", "--k", "3",
+                   "--aidm", str(path), "--roster", "K,F,SPS"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert str(path) in err
 
     def test_help_is_0(self, capsys):
         assert main(["--help"]) == 0

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cesel.clusterers import Partition
+from cesel.clusterers import LINKAGE_IDS, Partition, run_algorithm
 from cesel.consensus import (
     CommitteeEntry,
     Dendrogram,
@@ -17,11 +17,12 @@ from cesel.consensus import (
 )
 from cesel.errors import (
     CommitteeTooSmall,
+    DegenerateSpectrum,
     EmptyCommittee,
     InvalidK,
     WeightMismatch,
 )
-from cesel.harness import accuracy, gen_blobs
+from cesel.harness import accuracy, gen_blobs, gen_half_ring
 from cesel.independency import BasicParams
 
 
@@ -274,3 +275,46 @@ class TestRunCes:
             PipelineConfig(k_final=2, committee_target=10, max_attempts=5)
         with pytest.raises(ValueError):
             PipelineConfig(k_final=2, consensus="mcla")
+
+
+RING = gen_half_ring(60, 0.05, seed=11)
+
+
+class TestCandidateRuns:
+    def test_each_linkage_key_runs_once(self, monkeypatch):
+        calls = []
+
+        def counting(data, cfg):
+            calls.append((cfg.algorithm_id, cfg.k))
+            return run_algorithm(data, cfg)
+
+        monkeypatch.setattr("cesel.consensus.run_algorithm", counting)
+        cfg = PipelineConfig(k_final=2, d_threshold=0.35, committee_target=8,
+                             max_attempts=32, seed=3, vary_k=True)
+        _, report = run_ces(RING, cfg)
+        linkage_calls = [c for c in calls if c[0] in LINKAGE_IDS]
+        assert len(linkage_calls) == len(set(linkage_calls))
+        # the memo was exercised: some linkage key was drawn more than once
+        drawn = [t["algorithm"] for t in report.trace if t["algorithm"] in LINKAGE_IDS]
+        assert len(drawn) > len(linkage_calls)
+
+    def test_degenerate_candidate_is_recorded_and_skipped(self, monkeypatch):
+        def flaky(data, cfg):
+            if cfg.algorithm_id == "SPS":
+                raise DegenerateSpectrum("fewer than 2 usable eigenvectors")
+            return run_algorithm(data, cfg)
+
+        monkeypatch.setattr("cesel.consensus.run_algorithm", flaky)
+        cfg = PipelineConfig(k_final=2, d_threshold=0.0, committee_target=4,
+                             max_attempts=20, seed=5, roster=("K", "SPS"))
+        final, report = run_ces(RING, cfg)
+        failed = [t for t in report.trace if "error" in t]
+        assert failed
+        for t in failed:
+            assert t["algorithm"] == "SPS" and t["admitted"] is False and t["diversity"] is None
+            assert t["error"] == "DegenerateSpectrum"
+            assert t["message"] == "fewer than 2 usable eigenvectors"
+        assert report.n_ce == 4 and len(final) == RING.n
+        assert all(e["algorithm"] == "K" for e in report.per_entry)
+        ok = [t for t in report.trace if "error" not in t]
+        assert all(set(t) == {"run_index", "algorithm", "diversity", "admitted"} for t in ok)

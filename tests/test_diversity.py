@@ -112,6 +112,18 @@ class TestAapmm:
         assert aapmm(part(relabel[p.assignments], 5), ref) == pytest.approx(value, abs=1e-12)
         assert aapmm(p, part(relabel[ref.assignments], 5)) == pytest.approx(value, abs=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_raw_equals_mean_of_per_cluster_apmm(self, data):
+        # aapmm_raw computes the reference's term once; it must equal the
+        # public per-cluster score averaged over the non-empty clusters.
+        n = data.draw(st.integers(1, 30))
+        p = part(data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)), 5)
+        ref = part(data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)), 5)
+        scores = [apmm(np.flatnonzero(p.assignments == c), ref, n)
+                  for c in range(p.k) if np.any(p.assignments == c)]
+        assert aapmm_raw(p, ref) == float(np.mean(scores))
+
 
 class TestUniformity:
     def test_single_member_is_self_similarity(self):

@@ -220,6 +220,13 @@ class TestReferenceAidm:
         computed = assets.computed_aidm()
         assert set(computed.algorithm_ids) == set(ALGORITHM_IDS)
 
+    def test_bundled_matrices_built_once_and_read_only(self):
+        for load in (reference_aidm, assets.computed_aidm):
+            aidm = load()
+            assert load() is aidm
+            with pytest.raises(ValueError):
+                aidm.values[0, 1] = 0.0
+
 
 class TestBpi:
     def test_identical_params_zero(self):

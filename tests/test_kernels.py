@@ -1,0 +1,96 @@
+"""Distance and membership kernels against copies of their broadcast forms.
+
+The clusterers add short sums one coordinate (or one cluster) at a time
+instead of reducing a stacked axis. The oracles below are the earlier
+broadcast expressions, kept verbatim; every kernel must equal them bit for
+bit, on both sides of the 8-term point where NumPy changes its summation
+order.
+"""
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from cesel import clusterers
+from cesel.clusterers import _HAMMING_TOL, euclidean_matrix, hamming_matrix
+
+
+def oracle_sq_distances(x, centroids):
+    diff = x[:, None, :] - centroids[None, :, :]
+    return (diff * diff).sum(axis=2)
+
+
+def oracle_memberships(d2, m=2.0):
+    d2 = np.maximum(d2, 0.0)
+    zero_rows = np.isclose(d2, 0.0).any(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = d2 ** (-1.0 / (m - 1.0))
+        new_u = inv / inv.sum(axis=1, keepdims=True)
+    if zero_rows.any():
+        hits = np.isclose(d2[zero_rows], 0.0)
+        new_u[zero_rows] = hits / hits.sum(axis=1, keepdims=True)
+    return new_u
+
+
+def oracle_hamming(x):
+    differs = np.abs(x[:, None, :] - x[None, :, :]) > _HAMMING_TOL
+    return differs.mean(axis=2)
+
+
+COORD = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def points(draw, max_rows=12):
+    d = draw(st.integers(1, 12))
+    n = draw(st.integers(1, max_rows))
+    return draw(arrays(np.float64, (n, d), elements=COORD))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=points(), data=st.data())
+def test_sq_distances_match_broadcast_sum(x, data):
+    k = data.draw(st.integers(1, 10))
+    centroids = data.draw(arrays(np.float64, (k, x.shape[1]), elements=COORD))
+    assert np.array_equal(clusterers._sq_distances(x, centroids),
+                          oracle_sq_distances(x, centroids))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=points(max_rows=16))
+def test_euclidean_matrix_matches_broadcast_sum(x):
+    expected = np.sqrt(np.maximum(oracle_sq_distances(x, x), 0.0))
+    assert np.array_equal(euclidean_matrix(x), expected)
+
+
+# squared distances straddling the zero test's 1e-8, plus ordinary ones
+SQ_DIST = st.one_of(
+    st.sampled_from([0.0, 5e-9, 1e-8, np.nextafter(1e-8, 1.0), 2e-8]),
+    st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fcm_memberships_match_broadcast_sum(data):
+    k = data.draw(st.integers(1, 10))
+    n = data.draw(st.integers(1, 12))
+    d2 = data.draw(arrays(np.float64, (n, k), elements=SQ_DIST))
+    with np.errstate(over="ignore"):  # 1 / subnormal overflows in both
+        assert np.array_equal(clusterers._memberships(d2), oracle_memberships(d2))
+
+
+# coordinates whose differences land exactly on, just inside and just
+# outside the tolerance
+HAMMING_COORD = st.sampled_from(
+    [0.0, _HAMMING_TOL, -_HAMMING_TOL, 2 * _HAMMING_TOL, 0.5 * _HAMMING_TOL, 1.0, -1.0]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_hamming_matrix_matches_stacked_mean(data):
+    d = data.draw(st.integers(1, 12))
+    n = data.draw(st.integers(1, 12))
+    x = data.draw(arrays(np.float64, (n, d), elements=HAMMING_COORD))
+    assert np.array_equal(hamming_matrix(x), oracle_hamming(x))
+
