@@ -1,9 +1,14 @@
 """Agglomerative merging on a precomputed dissimilarity matrix.
 
-One Lance-Williams style engine serves both the base linkage clusterers
-and the consensus step. Merge records follow the usual convention:
-original samples are nodes 0..n-1 and the cluster created by merge ``i``
-is node ``n + i``.
+This Lance-Williams style engine serves the inputs whose distances tie by
+construction: the Hamming linkage clusterers (distances are multiples of
+1/d) and the consensus step (1 - co-association takes few values). There
+the tie rule below decides the partition. The Euclidean and cosine
+linkage clusterers use scipy's compiled ``linkage`` instead, which merges
+tie-free inputs the same way (see ``clusterers.run_linkage``). Merge
+records follow the usual convention, which scipy's shares: original
+samples are nodes 0..n-1 and the cluster created by merge ``i`` is node
+``n + i``.
 
 Each step merges the closest pair of active clusters. Ties go to the
 smallest row, then the smallest column, of the current matrix (the

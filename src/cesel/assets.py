@@ -11,6 +11,7 @@ from importlib import resources
 from pathlib import Path
 
 from .cail import GraphArray, Scmt, build_graph, load_scmt, load_script, to_graph_array
+from .errors import DataFileError
 from .independency import Aidm, build_aidm
 
 
@@ -38,7 +39,7 @@ def load_script_arrays(
         script = load_script(path, table)
         arrays.append(to_graph_array(build_graph(script)))
     if not arrays:
-        raise FileNotFoundError(f"no .cail scripts found in {directory}")
+        raise DataFileError(f"no .cail scripts found in {directory}")
     return arrays
 
 

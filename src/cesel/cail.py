@@ -79,10 +79,10 @@ def load_scmt(path: str | Path) -> Scmt:
             continue
         parts = line.split("\t")
         if len(parts) < 2:
-            raise ValueError(f"{path}:{lineno}: expected 'symbol<TAB>description'")
+            raise ValueError(f"line {lineno}: expected 'symbol<TAB>description'")
         sym = parts[0].strip().upper()
         if sym in entries:
-            raise ValueError(f"{path}:{lineno}: duplicate symbol {sym!r}")
+            raise ValueError(f"line {lineno}: duplicate symbol {sym!r}")
         entries[sym] = parts[1].strip()
     return Scmt(entries)
 

@@ -22,8 +22,11 @@ from .errors import (
     CeselError,
     CommitteeTooSmall,
     DataFileError,
+    EmptyGraph,
     InvalidK,
     ParseError,
+    StructureError,
+    UnknownSymbol,
 )
 from .harness import (
     accuracy,
@@ -107,7 +110,7 @@ def run(data, label, k, dt, committee, attempts, seed, aidm, consensus_mode, ros
 @click.option("--aidm", default="reference", show_default=True)
 @click.option("--roster", default=None,
               help="Comma-separated algorithm IDs (default: all implemented).")
-@click.option("--reps", default=10, type=int, show_default=True)
+@click.option("--reps", default=10, type=click.IntRange(min=1), show_default=True)
 def baseline(method, data, label, k, dt, committee, attempts, seed, aidm, roster, reps):
     """Mean accuracy of one method over repeated seeded runs."""
     from .harness import AccuracyResult, run_method, _rep_seed
@@ -124,6 +127,16 @@ def baseline(method, data, label, k, dt, committee, attempts, seed, aidm, roster
     click.echo(f"{method}: {result.mean:.2f} +/- {result.std:.2f} over {reps} runs")
 
 
+def _symbol_table(path):
+    """The symbol table at ``path``, or the bundled one; malformed is a data error."""
+    if path is None:
+        return assets.bundled_scmt()
+    try:
+        return load_scmt(path)
+    except ValueError as exc:
+        raise DataFileError(f"symbol table {path}: {exc}") from None
+
+
 @cli.command()
 @click.option("--scripts", default=None, type=click.Path(exists=True),
               help="Directory of .cail scripts (default: bundled).")
@@ -132,7 +145,7 @@ def baseline(method, data, label, k, dt, committee, attempts, seed, aidm, roster
 @click.option("--out", required=True, type=click.Path(), help="Output CSV path.")
 def aidm(scripts, scmt_path, out):
     """Compute the pairwise independency matrix from modeling scripts."""
-    table = load_scmt(scmt_path) if scmt_path else assets.bundled_scmt()
+    table = _symbol_table(scmt_path)
     arrays = assets.load_script_arrays(scripts, table)
     save_aidm_csv(build_aidm(arrays), out)
     click.echo(f"{len(arrays)}x{len(arrays)} matrix written to {out}")
@@ -145,7 +158,7 @@ def aidm(scripts, scmt_path, out):
               help="Also write the graph in DOT format here.")
 def cail(script, scmt_path, dot_out):
     """Check a modeling script and print its cell array."""
-    table = load_scmt(scmt_path) if scmt_path else assets.bundled_scmt()
+    table = _symbol_table(scmt_path)
     parsed = load_script(script, table)
     graph = build_graph(parsed)
     array = to_graph_array(graph)
@@ -165,7 +178,10 @@ def cail(script, scmt_path, dot_out):
 @click.option("--out", required=True, type=click.Path())
 def gen_data(n, noise, seed, out):
     """Generate a labelled two-half-ring dataset as CSV."""
-    dataset = gen_half_ring(n, noise, seed)
+    try:
+        dataset = gen_half_ring(n, noise, seed)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
     _write_dataset_csv(dataset, out)
     click.echo(f"{dataset.n}x{dataset.d} dataset written to {out}")
 
@@ -179,6 +195,8 @@ def gen_data(n, noise, seed, out):
 @click.option("--out", required=True, type=click.Path())
 def perturb(data, label, mode, rate, seed, out):
     """Corrupt a fraction of dataset cells and write the result."""
+    if not 0.0 <= rate < 1.0:
+        raise click.UsageError(f"--rate {rate} outside [0, 1)")
     dataset = load_csv(data, label_column=label)
     fn = inject_missing if mode == "missing" else inject_noise
     perturbed = fn(dataset, rate, seed)
@@ -195,14 +213,21 @@ def perturb(data, label, mode, rate, seed, out):
 @click.option("--committee", default=10, type=int, show_default=True)
 @click.option("--attempts", default=50, type=int, show_default=True)
 @click.option("--seed", default=0, type=int, show_default=True)
-@click.option("--reps", default=3, type=int, show_default=True)
+@click.option("--reps", default=3, type=click.IntRange(min=1), show_default=True)
 @click.option("--out", default=None, type=click.Path())
 def sweep_dt_cmd(data, label, k, dts, committee, attempts, seed, reps, out):
     """Measure accuracy/cost across diversity thresholds."""
+    try:
+        thresholds = [float(v) for v in dts.split(",") if v.strip()]
+    except ValueError:
+        raise click.UsageError(f"--dts {dts!r} is not a list of numbers") from None
+    if not thresholds:
+        raise click.UsageError("--dts names no threshold")
+    # One config per threshold, so a threshold outside [0, 1] fails here.
+    configs = [_pipeline_config(k, dt, committee, attempts, seed, "reference", "weac")
+               for dt in thresholds]
     dataset = load_csv(data, label_column=label)
-    cfg = _pipeline_config(k, 0.0, committee, attempts, seed, "reference", "weac")
-    thresholds = [float(v) for v in dts.split(",") if v.strip()]
-    rows = sweep_dt(dataset, cfg, thresholds, repetitions=reps)
+    rows = sweep_dt(dataset, configs[0], thresholds, repetitions=reps)
     text = json.dumps(rows, indent=2)
     if out:
         Path(out).write_text(text + "\n")
@@ -238,7 +263,8 @@ def main(argv=None) -> int:
     except InvalidK as exc:
         click.echo(f"usage error: {exc}", err=True)
         return 1
-    except (ParseError, AllMissingColumn, DataFileError) as exc:
+    except (ParseError, AllMissingColumn, DataFileError,
+            UnknownSymbol, StructureError, EmptyGraph) as exc:
         click.echo(f"data error: {exc}", err=True)
         return 2
     except CommitteeTooSmall as exc:

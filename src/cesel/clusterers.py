@@ -304,6 +304,15 @@ def run_linkage(data: Dataset, cfg: ClustererConfig) -> tuple[Partition, BasicPa
     (Euclidean, Hamming, cosine). Deterministic, so the starting
     parameters are a constant one-row code and reruns score fully
     dependent at run level.
+
+    Hamming distances are multiples of 1/d and tie by construction, so
+    the ``?LH`` IDs merge on the exact engine of :mod:`cesel._agglo`,
+    whose row-major tie rule then decides the partition. Euclidean and
+    cosine IDs merge on scipy's compiled ``linkage`` (Müllner's MST and
+    NN-chain algorithms). On tie-free distances both give the same
+    partition at every k. Where distances tie, scipy may merge the tied
+    pairs in another order than the engine and so cut a different,
+    equally deterministic partition.
     """
     alg = cfg.algorithm_id
     if alg not in LINKAGE_IDS:
@@ -311,7 +320,18 @@ def run_linkage(data: Dataset, cfg: ClustererConfig) -> tuple[Partition, BasicPa
     if cfg.k > data.n:
         raise InvalidK(f"k={cfg.k} exceeds sample count {data.n}")
     dist = _DISTANCE_FNS[alg[2]](data.samples)
-    merges = linkage_merge(dist, _LINKAGE_NAMES[alg[0]])
+    method = _LINKAGE_NAMES[alg[0]]
+    if alg[2] == "H":
+        merges = linkage_merge(dist, method)
+    else:
+        # Imported on first use: scipy.cluster loads scipy.spatial (~50 ms),
+        # which runs and commands without such a linkage need not pay.
+        from scipy.cluster.hierarchy import linkage
+        from scipy.spatial.distance import squareform
+
+        z = linkage(squareform(dist, checks=False), method)
+        merges = [(int(left), int(right), height, int(size))
+                  for left, right, height, size in z.tolist()]
     labels = cut_merges(merges, data.n, cfg.k)
     code = np.array([["SACW".index(alg[0]), "EHC".index(alg[2])]], dtype=float)
     return Partition(labels, cfg.k), BasicParams(alg, code)

@@ -212,6 +212,83 @@ class TestExitCodes:
         assert err.startswith("data error: ") and err.count("\n") == 1
         assert str(path) in err
 
+    @pytest.mark.parametrize("args, named", [
+        (["perturb", "--mode", "noise", "--rate", "2", "--out", "OUT"], "--rate"),
+        (["sweep-dt", "--k", "2", "--dts", "abc", "--out", "OUT"], "--dts"),
+        (["sweep-dt", "--k", "2", "--dts", "5", "--out", "OUT"], "threshold"),
+        (["sweep-dt", "--k", "2", "--reps", "0", "--out", "OUT"], "--reps"),
+        (["baseline", "--method", "kmeans", "--k", "2", "--reps", "0"], "--reps"),
+    ], ids=["perturb-rate", "sweep-dts-text", "sweep-dts-range", "sweep-reps", "baseline-reps"])
+    def test_bad_option_is_usage_error_before_any_work(
+        self, ring_csv, tmp_path, args, named, no_candidates, monkeypatch, capsys
+    ):
+        def refuse(*a, **kw):
+            raise AssertionError("the dataset was read before the options were checked")
+
+        monkeypatch.setattr("cesel.cli.load_csv", refuse)
+        out = tmp_path / "out.json"
+        args = [str(out) if a == "OUT" else a for a in args]
+        rc = main([*args, "--data", ring_csv, "--label", "label"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert named in err
+        assert not out.exists()
+
+    def test_gen_data_too_few_samples_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "ring.csv"
+        rc = main(["gen-data", "--n", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", [
+        "begin R(1) BOGUS(9) end\n",
+        "begin R(1) while F(1)\n",
+        "begin end\n",
+    ], ids=["unknown-symbol", "unclosed-block", "no-symbols"])
+    @pytest.mark.parametrize("command", ["cail", "aidm"])
+    def test_malformed_script_is_data_error(self, tmp_path, source, command, capsys):
+        scripts = tmp_path / "scripts"
+        scripts.mkdir()
+        (scripts / "bad.cail").write_text(source)
+        if command == "cail":
+            args = ["cail", str(scripts / "bad.cail")]
+        else:
+            args = ["aidm", "--scripts", str(scripts), "--out", str(tmp_path / "a.csv")]
+        rc = main(args)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("data error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("table", [
+        "R1\tno parentheses\n",
+        "R(1)\n",
+        "R(1)\trandom\nr(1)\tagain\n",
+    ], ids=["malformed-id", "no-description", "duplicate"])
+    @pytest.mark.parametrize("command", ["cail", "aidm"])
+    def test_malformed_symbol_table_is_data_error(self, tmp_path, table, command, capsys):
+        scmt = tmp_path / "scmt.tsv"
+        scmt.write_text(table)
+        script = tmp_path / "k.cail"
+        script.write_text("begin R(1) end\n")
+        if command == "cail":
+            args = ["cail", str(script), "--scmt", str(scmt)]
+        else:
+            args = ["aidm", "--scmt", str(scmt), "--out", str(tmp_path / "a.csv")]
+        rc = main(args)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert str(scmt) in err
+
+    def test_script_directory_without_scripts_is_data_error(self, tmp_path, capsys):
+        rc = main(["aidm", "--scripts", str(tmp_path), "--out", str(tmp_path / "a.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("data error: ") and err.count("\n") == 1
+
     def test_help_is_0(self, capsys):
         assert main(["--help"]) == 0
         assert main(["run", "--help"]) == 0

@@ -1,8 +1,10 @@
 """Base clusterers: geometry sanity, determinism, parameter reporting."""
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cesel import clusterers
+from cesel._agglo import cut_merges, linkage_merge
 from cesel.clusterers import (
     ALGORITHM_IDS,
     ClustererConfig,
@@ -172,6 +174,34 @@ class TestLinkage:
     def test_bad_id_rejected(self):
         with pytest.raises(ValueError):
             run_linkage(RECTANGLE, ClustererConfig("XLE", k=2, seed=0))
+
+    def test_only_hamming_ids_reach_the_engine(self, monkeypatch):
+        reached = []
+
+        def counting(dissimilarity, method):
+            reached.append(method)
+            return linkage_merge(dissimilarity, method)
+
+        monkeypatch.setattr(clusterers, "linkage_merge", counting)
+        data = gen_blobs(8, [[0, 0], [5, 5], [0, 9]], 0.4, seed=9)
+        for alg in LINKAGE_IDS:
+            before = len(reached)
+            run_linkage(data, ClustererConfig(alg, k=3, seed=0))
+            assert len(reached) - before == (alg[2] == "H"), alg
+        assert sorted(reached) == ["average", "complete", "single", "ward"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(3, 40), st.integers(1, 6), st.integers(0, 2**32 - 1),
+           st.sampled_from([alg for alg in LINKAGE_IDS if alg[2] != "H"]))
+    def test_scipy_path_matches_engine_on_tie_free_points(self, n, d, seed, alg):
+        data = _unscaled(np.random.default_rng(seed).normal(size=(n, d)))
+        dist = {"E": euclidean_matrix, "C": cosine_matrix}[alg[2]](data.samples)
+        condensed = dist[np.triu_indices(n, 1)]
+        assume(np.unique(condensed).size == condensed.size)
+        merges = linkage_merge(dist, clusterers._LINKAGE_NAMES[alg[0]])
+        for k in range(1, n + 1):
+            part, _ = run_linkage(data, ClustererConfig(alg, k=k, seed=0))
+            assert np.array_equal(part.assignments, cut_merges(merges, n, k)), k
 
 
 class TestDistanceMatrices:

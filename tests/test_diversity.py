@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cesel.clusterers import Partition
 from cesel.diversity import aapmm, aapmm_raw, admit, apmm, uniformity
@@ -123,6 +123,23 @@ class TestAapmm:
         scores = [apmm(np.flatnonzero(p.assignments == c), ref, n)
                   for c in range(p.k) if np.any(p.assignments == c)]
         assert aapmm_raw(p, ref) == float(np.mean(scores))
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_exact_copy_stays_below_one(self, data):
+        # APMM scores cluster sizes only: a copy of a committee member
+        # scores no higher than any partition with the same size profile,
+        # and below 1 whenever it has two or more clusters, so a gate with
+        # dT <= 1 - aapmm(p, p) admits it again.
+        n = data.draw(st.integers(2, 30))
+        labels = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        assume(len(set(labels)) >= 2)
+        p = part(labels, 5)
+        shuffled = part(np.asarray(data.draw(st.permutations(labels))), 5)
+        assert aapmm(p, p) < 1.0
+        assert aapmm(p, shuffled) == aapmm(p, p)
+        assert admit(p, [p], 1.0 - aapmm(p, p)).admitted
 
 
 class TestUniformity:
