@@ -39,6 +39,12 @@ from .harness import (
 from .independency import build_aidm, save_aidm_csv
 
 
+# A directory given for a file (or a file for a directory) is a usage error
+# caught while parsing, before any work starts.
+_INPUT_FILE = click.Path(exists=True, dir_okay=False)
+_OUTPUT_FILE = click.Path(dir_okay=False)
+
+
 @click.group()
 def cli():
     """Cluster ensemble selection toolkit."""
@@ -69,7 +75,7 @@ def _pipeline_config(k, dt, committee, attempts, seed, aidm, consensus_mode,
 
 
 @cli.command()
-@click.option("--data", required=True, type=click.Path(exists=True), help="CSV dataset.")
+@click.option("--data", required=True, type=_INPUT_FILE, help="CSV dataset.")
 @click.option("--label", default=None, help="Name of the class column, if any.")
 @click.option("--k", required=True, type=int, help="Final cluster count.")
 @click.option("--dt", default=0.1, type=float, show_default=True, help="Diversity threshold.")
@@ -82,7 +88,7 @@ def _pipeline_config(k, dt, committee, attempts, seed, aidm, consensus_mode,
               type=click.Choice(["weac", "eac"]))
 @click.option("--roster", default=None,
               help="Comma-separated algorithm IDs (default: all implemented).")
-@click.option("--out", default=None, type=click.Path(), help="Write the run report JSON here.")
+@click.option("--out", default=None, type=_OUTPUT_FILE, help="Write the run report JSON here.")
 def run(data, label, k, dt, committee, attempts, seed, aidm, consensus_mode, roster, out):
     """Run the selection pipeline on a dataset."""
     dataset = load_csv(data, label_column=label)
@@ -100,7 +106,7 @@ def run(data, label, k, dt, committee, attempts, seed, aidm, consensus_mode, ros
 
 @cli.command()
 @click.option("--method", required=True, type=click.Choice(["kmeans", "spectral", "eac", "weac"]))
-@click.option("--data", required=True, type=click.Path(exists=True))
+@click.option("--data", required=True, type=_INPUT_FILE)
 @click.option("--label", default=None)
 @click.option("--k", required=True, type=int)
 @click.option("--dt", default=0.1, type=float, show_default=True)
@@ -138,11 +144,11 @@ def _symbol_table(path):
 
 
 @cli.command()
-@click.option("--scripts", default=None, type=click.Path(exists=True),
+@click.option("--scripts", default=None, type=click.Path(exists=True, file_okay=False),
               help="Directory of .cail scripts (default: bundled).")
-@click.option("--scmt", "scmt_path", default=None, type=click.Path(exists=True),
+@click.option("--scmt", "scmt_path", default=None, type=_INPUT_FILE,
               help="Symbol table file (default: bundled).")
-@click.option("--out", required=True, type=click.Path(), help="Output CSV path.")
+@click.option("--out", required=True, type=_OUTPUT_FILE, help="Output CSV path.")
 def aidm(scripts, scmt_path, out):
     """Compute the pairwise independency matrix from modeling scripts."""
     table = _symbol_table(scmt_path)
@@ -152,9 +158,9 @@ def aidm(scripts, scmt_path, out):
 
 
 @cli.command()
-@click.argument("script", type=click.Path(exists=True))
-@click.option("--scmt", "scmt_path", default=None, type=click.Path(exists=True))
-@click.option("--dot", "dot_out", default=None, type=click.Path(),
+@click.argument("script", type=_INPUT_FILE)
+@click.option("--scmt", "scmt_path", default=None, type=_INPUT_FILE)
+@click.option("--dot", "dot_out", default=None, type=_OUTPUT_FILE,
               help="Also write the graph in DOT format here.")
 def cail(script, scmt_path, dot_out):
     """Check a modeling script and print its cell array."""
@@ -175,7 +181,7 @@ def cail(script, scmt_path, dot_out):
 @click.option("--n", default=400, type=int, show_default=True)
 @click.option("--noise", default=0.05, type=float, show_default=True)
 @click.option("--seed", default=0, type=int, show_default=True)
-@click.option("--out", required=True, type=click.Path())
+@click.option("--out", required=True, type=_OUTPUT_FILE)
 def gen_data(n, noise, seed, out):
     """Generate a labelled two-half-ring dataset as CSV."""
     try:
@@ -187,12 +193,12 @@ def gen_data(n, noise, seed, out):
 
 
 @cli.command()
-@click.option("--data", required=True, type=click.Path(exists=True))
+@click.option("--data", required=True, type=_INPUT_FILE)
 @click.option("--label", default=None)
 @click.option("--mode", required=True, type=click.Choice(["missing", "noise"]))
 @click.option("--rate", required=True, type=float)
 @click.option("--seed", default=0, type=int, show_default=True)
-@click.option("--out", required=True, type=click.Path())
+@click.option("--out", required=True, type=_OUTPUT_FILE)
 def perturb(data, label, mode, rate, seed, out):
     """Corrupt a fraction of dataset cells and write the result."""
     if not 0.0 <= rate < 1.0:
@@ -205,7 +211,7 @@ def perturb(data, label, mode, rate, seed, out):
 
 
 @cli.command("sweep-dt")
-@click.option("--data", required=True, type=click.Path(exists=True))
+@click.option("--data", required=True, type=_INPUT_FILE)
 @click.option("--label", default=None)
 @click.option("--k", required=True, type=int)
 @click.option("--dts", default="0.0,0.1,0.2,0.3", show_default=True,
@@ -214,7 +220,7 @@ def perturb(data, label, mode, rate, seed, out):
 @click.option("--attempts", default=50, type=int, show_default=True)
 @click.option("--seed", default=0, type=int, show_default=True)
 @click.option("--reps", default=3, type=click.IntRange(min=1), show_default=True)
-@click.option("--out", default=None, type=click.Path())
+@click.option("--out", default=None, type=_OUTPUT_FILE)
 def sweep_dt_cmd(data, label, k, dts, committee, attempts, seed, reps, out):
     """Measure accuracy/cost across diversity thresholds."""
     try:

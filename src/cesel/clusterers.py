@@ -26,7 +26,6 @@ ALGORITHM_IDS = (KMEANS_ID, FCM_ID) + LINKAGE_IDS + (SPECTRAL_SPARSE_ID,)
 
 _LINKAGE_NAMES = {"S": "single", "A": "average", "C": "complete", "W": "ward"}
 _HAMMING_TOL = 1e-9
-_FUZZIFIER = 2.0       # membership sharpness of the fuzzy clusterer
 _MAX_NEIGHBORS = 10    # sparse-graph degree, capped at n - 1
 _MAX_ITER = 300
 _TOL = 1e-6
@@ -135,30 +134,26 @@ def preprocess(
 _SEQUENTIAL_TERMS = 7
 
 
-def _sum_terms(count: int, term, stacked) -> np.ndarray:
-    """``stacked().sum(axis=-1)``, bit for bit, from ``term(j) = stacked()[..., j]``.
-
-    Short sums add the ``count`` terms left to right; longer ones fall back
-    to the reduction itself. ``term`` must return a fresh array.
-    """
-    if count > _SEQUENTIAL_TERMS:
-        return stacked().sum(axis=-1)
-    acc = term(0)
-    for j in range(1, count):
-        acc += term(j)
-    return acc
-
-
 def _sq_distances(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    def term(j: int) -> np.ndarray:
-        diff = x[:, j, None] - centroids[None, :, j]
-        return diff * diff
+    """Squared distances (k x n) from each of k centroids to each of n samples.
 
-    def stacked() -> np.ndarray:
-        diff = x[:, None, :] - centroids[None, :, :]
-        return diff * diff
-
-    return _sum_terms(x.shape[1], term, stacked)
+    Bit for bit the stacked ``diff = x[None, :, :] - centroids[:, None, :]``
+    summed as ``(diff * diff).sum(axis=-1)``: up to ``_SEQUENTIAL_TERMS``
+    coordinates are added one (k, n) array at a time, longer sums use the
+    reduction itself. Each centroid's row is contiguous, which is the
+    layout the fuzzy loop works in; ``(a - b)**2`` equals ``(b - a)**2``
+    exactly, so ``_sq_distances(x, x)`` is exactly symmetric.
+    """
+    if x.shape[1] > _SEQUENTIAL_TERMS:
+        diff = x[None, :, :] - centroids[:, None, :]
+        return (diff * diff).sum(axis=-1)
+    columns = np.ascontiguousarray(x.T)
+    diff = columns[0] - centroids[:, 0, None]
+    acc = diff * diff
+    for j in range(1, len(columns)):
+        np.subtract(columns[j], centroids[:, j, None], out=diff)
+        acc += np.multiply(diff, diff, out=diff)
+    return acc
 
 
 def _repair_empty(labels: np.ndarray, x: np.ndarray, centroids: np.ndarray, k: int) -> None:
@@ -167,7 +162,7 @@ def _repair_empty(labels: np.ndarray, x: np.ndarray, centroids: np.ndarray, k: i
         if np.any(labels == c):
             continue
         d2 = _sq_distances(x, centroids)
-        own = d2[np.arange(len(labels)), labels]
+        own = d2[labels, np.arange(len(labels))]
         sizes = np.bincount(labels, minlength=k)
         movable = sizes[labels] >= 2
         own = np.where(movable, own, -np.inf)
@@ -176,12 +171,30 @@ def _repair_empty(labels: np.ndarray, x: np.ndarray, centroids: np.ndarray, k: i
         centroids[c] = x[far]
 
 
+def _cluster_means(x: np.ndarray, labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Each cluster's mean (k x d), bit for bit ``x[labels == c].mean(axis=0)``.
+
+    For d >= 2 NumPy sums a cluster's rows one after another, in sample
+    order, which is the order in which ``np.bincount`` adds its weights; so
+    one ``bincount`` per coordinate gives every cluster's sum. For d = 1
+    the rows form one contiguous axis, which NumPy sums pairwise, so that
+    case keeps the per-cluster mean. Every cluster must be non-empty.
+    """
+    k = len(sizes)
+    if x.shape[1] == 1:
+        return np.array([x[labels == c].mean(axis=0) for c in range(k)])
+    sums = np.stack([np.bincount(labels, weights=column, minlength=k) for column in x.T], axis=1)
+    return sums / sizes[:, None]
+
+
 def _lloyd(x: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Standard alternating assignment/centroid iteration.
 
     Returns (labels, initial_centroids). Initial centroids are k distinct
     samples drawn from ``rng``; empty clusters are repaired inside the
-    loop, so the result always has k non-empty clusters.
+    loop, so the result always has k non-empty clusters. One ``bincount``
+    gives the cluster sizes, the repair runs only when one is zero, and
+    :func:`_cluster_means` gives the per-cluster means bit for bit.
     """
     n = x.shape[0]
     init_idx = rng.choice(n, size=k, replace=False)
@@ -189,9 +202,12 @@ def _lloyd(x: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray,
     initial = centroids.copy()
     labels = np.zeros(n, dtype=int)
     for _ in range(_MAX_ITER):
-        labels = np.argmin(_sq_distances(x, centroids), axis=1)
-        _repair_empty(labels, x, centroids, k)
-        new_centroids = np.array([x[labels == c].mean(axis=0) for c in range(k)])
+        labels = np.argmin(_sq_distances(x, centroids), axis=0)
+        sizes = np.bincount(labels, minlength=k)
+        if not sizes.all():
+            _repair_empty(labels, x, centroids, k)
+            sizes = np.bincount(labels, minlength=k)
+        new_centroids = _cluster_means(x, labels, sizes)
         shift = float(np.abs(new_centroids - centroids).max())
         centroids = new_centroids
         if shift < _TOL:
@@ -208,57 +224,104 @@ def run_kmeans(data: Dataset, cfg: ClustererConfig) -> tuple[Partition, BasicPar
     return Partition(labels, cfg.k), BasicParams(cfg.algorithm_id, initial)
 
 
-def _memberships(d2: np.ndarray) -> np.ndarray:
-    """Fuzzy memberships (n x k) from squared distances to the centroids.
+def _memberships(d2: np.ndarray, inv: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fuzzy memberships (k x n) from squared distances (k x n), into ``out``.
 
-    A sample at distance zero (within ``isclose``'s default 1e-8, the same
-    test on non-negative values) from some centroids splits its membership
-    evenly among those.
+    With fuzzifier 2 a membership is the reciprocal squared distance over
+    its column's sum of reciprocals. A sample at distance zero (at most
+    1e-8, ``isclose``'s default on non-negative values) from some
+    centroids splits its membership evenly among those. ``inv`` is
+    scratch of the same shape.
+
+    Bit for bit the same as the (n x k) expression ``d2 ** -1.0``, summed
+    per row and divided: NumPy computes that power as the reciprocal, and
+    the k column terms are added one row at a time up to 7 terms, or
+    reduced as a C-order (n, k) copy from 8 on (see ``_SEQUENTIAL_TERMS``).
+    Zero-distance entries are left out of the reciprocal, so nothing
+    divides by zero; their columns are overwritten at the end.
     """
     zero = d2 <= 1e-8
-    zero_rows = zero.any(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = d2 ** (-1.0 / (_FUZZIFIER - 1.0))
-        total = _sum_terms(inv.shape[1], lambda j: inv[:, j].copy(), lambda: inv)
-        u = inv / total[:, None]
-    if zero_rows.any():
-        hits = zero[zero_rows]
-        u[zero_rows] = hits / hits.sum(axis=1, keepdims=True)
-    return u
+    any_zero = zero.any()
+    np.divide(1.0, d2, out=inv, where=~zero if any_zero else True)
+    if any_zero:
+        inv[zero] = 1.0  # any finite positive value keeps the totals finite
+    k = d2.shape[0]
+    if k > _SEQUENTIAL_TERMS:
+        total = np.ascontiguousarray(inv.T).sum(axis=1)
+    else:
+        total = inv[0].copy()
+        for j in range(1, k):
+            total += inv[j]
+    np.divide(inv, total, out=out)
+    if any_zero:
+        zero_cols = zero.any(axis=0)
+        hits = zero[:, zero_cols]
+        out[:, zero_cols] = hits / hits.sum(axis=0)
+    return out
+
+
+def _fcm(
+    x: np.ndarray, k: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The fuzzy clustering loop: (memberships, centroids, initial, iterations).
+
+    Memberships are (k x n); centroids and the initial centroids, implied
+    by the random initial memberships, are (k x d). The loop alternates
+    the weighted-centroid and membership updates with fuzzifier 2 (the
+    weights are squared memberships) until memberships move less than the
+    tolerance, or for at most ``_MAX_ITER`` iterations.
+
+    It keeps memberships, squared distances and weights as C-order (k, n)
+    arrays, the memberships and weights in buffers allocated once, and
+    repeats the arithmetic of the (n, k) formulation bit for bit:
+
+    - squared distances come from ``_sq_distances``, already (k, n);
+    - a centroid's denominator, the sum of its n weights, is the last
+      entry of ``np.add.accumulate``, which adds left to right as the
+      (n, k) column sum did; a row reduction would add pairwise;
+    - the weighted sum of samples is ``w_nk.T @ x`` on a C-order (n, k)
+      copy of the weights: BLAS may round differently when handed the
+      same matrix in another memory layout.
+    """
+    n = x.shape[0]
+    u = rng.random((n, k)) + 1e-9
+    u /= u.sum(axis=1, keepdims=True)
+    u = np.ascontiguousarray(u.T)
+    new_u, scratch, w, running = (np.empty((k, n)) for _ in range(4))
+    w_nk = np.empty((n, k))
+
+    def centroids_of(memberships: np.ndarray) -> np.ndarray:
+        np.multiply(memberships, memberships, out=w)
+        denominator = np.add.accumulate(w, axis=1, out=running)[:, -1]
+        np.copyto(w_nk, w.T)
+        return (w_nk.T @ x) / denominator[:, None]
+
+    initial = centroids_of(u)
+    centroids = initial
+    for iteration in range(1, _MAX_ITER + 1):
+        _memberships(_sq_distances(x, centroids), scratch, new_u)
+        change = float(np.abs(np.subtract(new_u, u, out=scratch), out=scratch).max())
+        u, new_u = new_u, u
+        centroids = centroids_of(u)
+        if change < _TOL:
+            break
+    return u, centroids, initial, iteration
 
 
 def run_fcm(data: Dataset, cfg: ClustererConfig) -> tuple[Partition, BasicParams]:
     """Fuzzy-membership clustering, hardened by argmax at the end.
 
-    Alternates the weighted-centroid and membership updates with the
-    fixed fuzzifier until memberships move less than the tolerance. The
-    starting parameters reported for independency are the k x d centroids
-    implied by the random initial membership matrix.
+    The starting parameters reported for independency are the k x d
+    centroids implied by the random initial membership matrix. The loop,
+    :func:`_fcm`, works in a (k, n) layout and repeats the arithmetic of
+    the plain (n, k) formulation bit for bit.
     """
     if cfg.k > data.n:
         raise InvalidK(f"k={cfg.k} exceeds sample count {data.n}")
-    x = data.samples
-    n, k = data.n, cfg.k
-    rng = np.random.default_rng(cfg.seed)
-    u = rng.random((n, k)) + 1e-9
-    u /= u.sum(axis=1, keepdims=True)
-
-    def centroids_of(memberships: np.ndarray) -> np.ndarray:
-        w = memberships**_FUZZIFIER
-        return (w.T @ x) / w.sum(axis=0)[:, None]
-
-    initial = centroids_of(u)
-    centroids = initial.copy()
-    for _ in range(_MAX_ITER):
-        new_u = _memberships(_sq_distances(x, centroids))
-        change = float(np.abs(new_u - u).max())
-        u = new_u
-        centroids = centroids_of(u)
-        if change < _TOL:
-            break
-    labels = np.argmax(u, axis=1)
-    _repair_empty(labels, x, centroids.copy(), k)
-    return Partition(labels, k), BasicParams(cfg.algorithm_id, initial)
+    u, centroids, initial, _ = _fcm(data.samples, cfg.k, np.random.default_rng(cfg.seed))
+    labels = np.argmax(u, axis=0)
+    _repair_empty(labels, data.samples, centroids, cfg.k)
+    return Partition(labels, cfg.k), BasicParams(cfg.algorithm_id, initial)
 
 
 # --- linkage family ----------------------------------------------------------

@@ -74,6 +74,12 @@ def weac(committee: list[CommitteeEntry], weights: np.ndarray) -> np.ndarray:
     Each co-clustering vote counts its entry's weight; the denominator
     stays the committee size, so unit weights reduce exactly to
     :func:`eac`. The diagonal is pinned to 1.
+
+    Samples with the same labels in every entry (the same signature) have
+    the same row, so the votes are added on the u x u matrix of the u
+    distinct signatures and then expanded to n x n. Every entry gets the
+    same additions, in the same order, as on the n x n matrix, so the
+    result is the dense accumulation bit for bit.
     """
     if not committee:
         raise EmptyCommittee("weighted accumulation needs at least one entry")
@@ -82,12 +88,13 @@ def weac(committee: list[CommitteeEntry], weights: np.ndarray) -> np.ndarray:
         raise WeightMismatch(
             f"{len(weights)} weights for {len(committee)} committee entries"
         )
-    n = len(committee[0].partition)
-    acc = np.zeros((n, n))
-    for entry, w in zip(committee, weights):
-        a = entry.partition.assignments
+    labels = np.stack([entry.partition.assignments for entry in committee], axis=1)
+    signatures, inverse = np.unique(labels, axis=0, return_inverse=True)
+    acc = np.zeros((len(signatures), len(signatures)))
+    for a, w in zip(signatures.T, weights):
         acc += w * (a[:, None] == a[None, :])
-    c = acc / len(committee)
+    inverse = inverse.ravel()
+    c = (acc / len(committee)).take(inverse, axis=0).take(inverse, axis=1)
     np.fill_diagonal(c, 1.0)
     return c
 

@@ -289,6 +289,52 @@ class TestExitCodes:
         assert rc == 2
         assert err.startswith("data error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("args", [
+        ["run", "--data", "DIR", "--k", "3"],
+        ["run", "--data", "CSV", "--k", "3", "--out", "DIR"],
+        ["baseline", "--method", "kmeans", "--data", "DIR", "--k", "2"],
+        ["perturb", "--data", "DIR", "--mode", "noise", "--rate", "0.1", "--out", "NEW"],
+        ["perturb", "--data", "CSV", "--mode", "noise", "--rate", "0.1", "--out", "DIR"],
+        ["sweep-dt", "--data", "DIR", "--k", "2"],
+        ["sweep-dt", "--data", "CSV", "--k", "2", "--out", "DIR"],
+        ["gen-data", "--out", "DIR"],
+        ["cail", "DIR"],
+        ["cail", "SCRIPT", "--scmt", "DIR"],
+        ["cail", "SCRIPT", "--dot", "DIR"],
+        ["aidm", "--scmt", "DIR", "--out", "NEW"],
+        ["aidm", "--scripts", "SCRIPT", "--out", "NEW"],
+        ["aidm", "--out", "DIR"],
+    ], ids=["run-data", "run-out", "baseline-data", "perturb-data", "perturb-out",
+            "sweep-data", "sweep-out", "gen-data-out", "cail-script", "cail-scmt",
+            "cail-dot", "aidm-scmt", "aidm-scripts-file", "aidm-out"])
+    def test_wrong_path_kind_is_usage_error_before_any_work(
+        self, ring_csv, tmp_path, args, no_candidates, monkeypatch, capsys
+    ):
+        def refuse(*a, **kw):
+            raise AssertionError("work started before the paths were checked")
+
+        for name in ("load_csv", "load_script", "gen_half_ring", "_symbol_table"):
+            monkeypatch.setattr(f"cesel.cli.{name}", refuse)
+        script = tmp_path / "k.cail"
+        script.write_text("begin R(1) end\n")
+        paths = {"DIR": str(tmp_path), "CSV": ring_csv, "SCRIPT": str(script),
+                 "NEW": str(tmp_path / "new.out")}
+        rc = main([paths.get(a, a) for a in args])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert "is a directory" in err or "is a file" in err
+        assert not (tmp_path / "new.out").exists()
+
+    def test_aidm_directory_is_data_error_before_any_candidate(
+        self, iris_path, tmp_path, no_candidates, capsys
+    ):
+        rc = main(["run", "--data", iris_path, "--label", "species", "--k", "3",
+                   "--aidm", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("data error: ") and err.count("\n") == 1
+
     def test_help_is_0(self, capsys):
         assert main(["--help"]) == 0
         assert main(["run", "--help"]) == 0

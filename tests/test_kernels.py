@@ -51,8 +51,9 @@ def points(draw, max_rows=12):
 def test_sq_distances_match_broadcast_sum(x, data):
     k = data.draw(st.integers(1, 10))
     centroids = data.draw(arrays(np.float64, (k, x.shape[1]), elements=COORD))
+    # the kernel returns the (k, n) layout the clusterers work in
     assert np.array_equal(clusterers._sq_distances(x, centroids),
-                          oracle_sq_distances(x, centroids))
+                          oracle_sq_distances(x, centroids).T)
 
 
 @settings(max_examples=200, deadline=None)
@@ -62,9 +63,10 @@ def test_euclidean_matrix_matches_broadcast_sum(x):
     assert np.array_equal(euclidean_matrix(x), expected)
 
 
-# squared distances straddling the zero test's 1e-8, plus ordinary ones
+# squared distances straddling the zero test's 1e-8, plus ordinary ones; NaN
+# is the distance to the centroid of a cluster that has no weight left
 SQ_DIST = st.one_of(
-    st.sampled_from([0.0, 5e-9, 1e-8, np.nextafter(1e-8, 1.0), 2e-8]),
+    st.sampled_from([0.0, 5e-9, 1e-8, np.nextafter(1e-8, 1.0), 2e-8, np.nan]),
     st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
 )
 
@@ -75,8 +77,15 @@ def test_fcm_memberships_match_broadcast_sum(data):
     k = data.draw(st.integers(1, 10))
     n = data.draw(st.integers(1, 12))
     d2 = data.draw(arrays(np.float64, (n, k), elements=SQ_DIST))
-    with np.errstate(over="ignore"):  # 1 / subnormal overflows in both
-        assert np.array_equal(clusterers._memberships(d2), oracle_memberships(d2))
+    with np.errstate(over="ignore"):  # 1 / subnormal overflows in the oracle
+        expected = oracle_memberships(d2)
+    # the kernel works on the transposed (k, n) layout; its scratch starts
+    # as NaN so that no stale entry can leak into the result
+    d2_kn = np.ascontiguousarray(d2.T)
+    scratch = np.full_like(d2_kn, np.nan)
+    with np.errstate(all="raise"):
+        got = clusterers._memberships(d2_kn, scratch, np.empty_like(d2_kn))
+    assert np.array_equal(got.T, expected, equal_nan=True)
 
 
 # coordinates whose differences land exactly on, just inside and just
