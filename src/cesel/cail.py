@@ -22,7 +22,6 @@ from pathlib import Path
 from .errors import EmptyGraph, StructureError, UnknownSymbol
 
 _SYMBOL_RE = re.compile(r"^[A-Z]+\(\d+\)$")
-_KEYWORDS = ("BEGIN", "END", "IF", "ELSE", "WHILE", "BREAK")
 
 
 class TokenKind(enum.Enum):
@@ -33,6 +32,9 @@ class TokenKind(enum.Enum):
     WHILE = "WHILE"
     BREAK = "BREAK"
     SYMBOL = "SYMBOL"
+
+
+_KEYWORDS = {kind.value: kind for kind in TokenKind if kind is not TokenKind.SYMBOL}
 
 
 @dataclass(frozen=True)
@@ -100,59 +102,27 @@ def parse_cail(source_text: str, scmt: Scmt, name: str = "script") -> CailScript
 
     Whitespace and newlines separate tokens; ``#`` comments run to end of
     line; keywords and symbol IDs are matched case-insensitively. Raises
-    :class:`UnknownSymbol` for tokens absent from the table and
-    :class:`StructureError` when the begin/end frame or block nesting is
-    broken.
+    :class:`UnknownSymbol` for tokens absent from the table and, from
+    :func:`build_graph`, :class:`StructureError` when the script breaks a
+    block rule.
     """
     words: list[str] = []
     for raw in source_text.splitlines():
         words.extend(raw.split("#", 1)[0].split())
-    if not words:
-        raise StructureError(0, "empty script")
 
     tokens: list[Token] = []
     for pos, word in enumerate(words):
         upper = word.upper()
         if upper in _KEYWORDS:
-            tokens.append(Token(TokenKind(upper), position=pos))
-        elif _SYMBOL_RE.match(upper) and upper in scmt:
+            tokens.append(Token(_KEYWORDS[upper], position=pos))
+        elif upper in scmt:  # the table holds only well-formed IDs
             tokens.append(Token(TokenKind.SYMBOL, symbol=upper, position=pos))
         else:
             raise UnknownSymbol(word, pos)
 
-    _check_structure(tokens)
-    return CailScript(name=name, tokens=tuple(tokens))
-
-
-def _check_structure(tokens: list[Token]) -> None:
-    if tokens[0].kind is not TokenKind.BEGIN:
-        raise StructureError(0, "script must start with 'begin'")
-    # stack holds "FRAME", "WHILE", "IF", "ELSE"
-    stack: list[str] = ["FRAME"]
-    closed = False
-    for i, tok in enumerate(tokens[1:], start=1):
-        if closed:
-            raise StructureError(i, "tokens after the closing 'end'")
-        kind = tok.kind
-        if kind is TokenKind.BEGIN:
-            raise StructureError(i, "'begin' is only allowed as the first token")
-        elif kind is TokenKind.IF:
-            stack.append("IF")
-        elif kind is TokenKind.WHILE:
-            stack.append("WHILE")
-        elif kind is TokenKind.ELSE:
-            if stack[-1] != "IF":
-                raise StructureError(i, "'else' outside an open 'if'")
-            stack[-1] = "ELSE"
-        elif kind is TokenKind.BREAK:
-            if "WHILE" not in stack:
-                raise StructureError(i, "'break' outside a loop")
-        elif kind is TokenKind.END:
-            top = stack.pop()
-            if top == "FRAME":
-                closed = True
-    if not closed:
-        raise StructureError(len(tokens) - 1, "missing 'end' for an open block")
+    script = CailScript(name=name, tokens=tuple(tokens))
+    build_graph(script)
+    return script
 
 
 # --- graph construction -----------------------------------------------------
@@ -207,14 +177,25 @@ class GraphArray:
 
 @dataclass
 class _Frame:
-    kind: str                      # "WHILE" or "IF"
-    header: int = -1               # loop header / branch node
-    join: int = -1                 # join node once created (IF only)
+    kind: TokenKind                # WHILE or IF
+    header: int                    # loop header / branch node
+    join: int = -1                 # join node once 'else' is seen (IF only)
     breaks: list = field(default_factory=list)  # (src, symbols) per break
 
 
 def build_graph(script: CailScript) -> IndependencyGraph:
-    """Convert a validated script into its control graph.
+    """Check a script's block structure and convert it into its control graph.
+
+    The block rules, each checked in this one walk over the tokens; a
+    violation raises :class:`StructureError` at the index of the token
+    where it shows:
+
+    - the script is not empty and starts with ``begin``, which appears
+      nowhere else;
+    - ``if`` and ``while`` open a block, ``end`` closes the innermost open
+      block, and the ``end`` matching ``begin`` is the last token;
+    - ``else`` appears at most once per ``if``, directly inside it;
+    - ``break`` appears only inside a ``while``, at any depth.
 
     The entry node comes from ``begin`` and the exit node from the final
     ``end``. A loop contributes one header node with a back edge from the
@@ -225,6 +206,11 @@ def build_graph(script: CailScript) -> IndependencyGraph:
     lands after the loop, carrying the symbols gathered since the last
     conjunction.
     """
+    tokens = script.tokens
+    if not tokens:
+        raise StructureError(0, "empty script")
+    if tokens[0].kind is not TokenKind.BEGIN:
+        raise StructureError(0, "script must start with 'begin'")
     nodes: list[NodeKind] = [NodeKind.ENTRY]
     edges: list[Edge] = []
     current = 0
@@ -245,46 +231,47 @@ def build_graph(script: CailScript) -> IndependencyGraph:
         pending = []
         current = target
 
-    for tok in script.tokens:
+    for i, tok in enumerate(tokens[1:], start=1):
         kind = tok.kind
-        if kind is TokenKind.BEGIN:
-            continue
+        if nodes[-1] is NodeKind.EXIT:
+            raise StructureError(i, "tokens after the closing 'end'")
         elif kind is TokenKind.SYMBOL:
             pending.append((tok.symbol, tok.position))
-        elif kind is TokenKind.WHILE:
-            header = new_node(NodeKind.LOOP)
+        elif kind is TokenKind.BEGIN:
+            raise StructureError(i, "'begin' is only allowed as the first token")
+        elif kind is TokenKind.WHILE or kind is TokenKind.IF:
+            header = new_node(NodeKind.LOOP if kind is TokenKind.WHILE else NodeKind.BRANCH)
             flush_to(header)
-            stack.append(_Frame("WHILE", header=header))
-        elif kind is TokenKind.IF:
-            branch = new_node(NodeKind.BRANCH)
-            flush_to(branch)
-            stack.append(_Frame("IF", header=branch))
+            stack.append(_Frame(kind, header))
         elif kind is TokenKind.ELSE:
+            if not stack or stack[-1].kind is not TokenKind.IF or stack[-1].join >= 0:
+                raise StructureError(i, "'else' outside an open 'if'")
             frame = stack[-1]
             frame.join = new_node(NodeKind.JOIN)
             flush_to(frame.join)            # close the then-arm
             current = frame.header          # else-arm restarts at the branch
         elif kind is TokenKind.BREAK:
-            loop = next(f for f in reversed(stack) if f.kind == "WHILE")
+            loop = next((f for f in reversed(stack) if f.kind is TokenKind.WHILE), None)
+            if loop is None:
+                raise StructureError(i, "'break' outside a loop")
             loop.breaks.append((current, list(pending)))
             pending = []
         elif kind is TokenKind.END:
             if not stack:
-                exit_node = new_node(NodeKind.EXIT)
-                flush_to(exit_node)
+                flush_to(new_node(NodeKind.EXIT))
             else:
                 frame = stack.pop()
-                if frame.kind == "WHILE":
+                if frame.kind is TokenKind.WHILE:
                     flush_to(frame.header)  # back edge
                     loose_breaks.extend(frame.breaks)
+                elif frame.join < 0:        # no else: empty fall-through
+                    frame.join = new_node(NodeKind.JOIN)
+                    flush_to(frame.join)
+                    edges.append(Edge(frame.header, frame.join, (), None))
                 else:
-                    if frame.join < 0:      # no else: empty fall-through
-                        frame.join = new_node(NodeKind.JOIN)
-                        flush_to(frame.join)
-                        edges.append(Edge(frame.header, frame.join, (), None))
-                    else:
-                        flush_to(frame.join)
-
+                    flush_to(frame.join)
+    if nodes[-1] is not NodeKind.EXIT:
+        raise StructureError(len(tokens) - 1, "missing 'end' for an open block")
     return IndependencyGraph(script.name, tuple(nodes), tuple(edges))
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import assets
 from .cail import build_graph, export_dot, load_scmt, load_script, to_graph_array
 from .consensus import PipelineConfig, run_ces
-from .clusterers import ALGORITHM_IDS, Dataset
+from .clusterers import Dataset
 from .errors import (
     AllMissingColumn,
     CeselError,
@@ -29,11 +29,13 @@ from .errors import (
     UnknownSymbol,
 )
 from .harness import (
+    ExperimentSpec,
     accuracy,
     gen_half_ring,
     inject_missing,
     inject_noise,
     load_csv,
+    run_experiment,
     sweep_dt,
 )
 from .independency import build_aidm, save_aidm_csv
@@ -54,11 +56,7 @@ def _pipeline_config(k, dt, committee, attempts, seed, aidm, consensus_mode,
                      roster=None) -> PipelineConfig:
     kwargs = {}
     if roster:
-        ids = tuple(r.strip().upper() for r in roster.split(",") if r.strip())
-        unknown = set(ids) - set(ALGORITHM_IDS)
-        if unknown:
-            raise click.UsageError(f"unknown algorithm IDs: {sorted(unknown)}")
-        kwargs["roster"] = ids
+        kwargs["roster"] = tuple(r.strip().upper() for r in roster.split(",") if r.strip())
     try:
         return PipelineConfig(
             k_final=k,
@@ -119,18 +117,13 @@ def run(data, label, k, dt, committee, attempts, seed, aidm, consensus_mode, ros
 @click.option("--reps", default=10, type=click.IntRange(min=1), show_default=True)
 def baseline(method, data, label, k, dt, committee, attempts, seed, aidm, roster, reps):
     """Mean accuracy of one method over repeated seeded runs."""
-    from .harness import AccuracyResult, run_method, _rep_seed
-
     dataset = load_csv(data, label_column=label)
     if dataset.labels is None:
         raise click.UsageError("baseline accuracy needs --label")
     cfg = _pipeline_config(k, dt, committee, attempts, seed, aidm, "weac", roster)
-    scores = [
-        accuracy(run_method(method, dataset, cfg, _rep_seed(seed, 0, rep)), dataset.labels)
-        for rep in range(reps)
-    ]
-    result = AccuracyResult.from_runs(scores)
-    click.echo(f"{method}: {result.mean:.2f} +/- {result.std:.2f} over {reps} runs")
+    spec = ExperimentSpec(dataset, Path(data).stem, cfg, repetitions=reps, methods=(method,))
+    (row,) = run_experiment(spec)["rows"]
+    click.echo(f"{method}: {row['mean']:.2f} +/- {row['std']:.2f} over {reps} runs")
 
 
 def _symbol_table(path):

@@ -298,13 +298,17 @@ def _fcm(
 
     initial = centroids_of(u)
     centroids = initial
-    for iteration in range(1, _MAX_ITER + 1):
-        _memberships(_sq_distances(x, centroids), scratch, new_u)
-        change = float(np.abs(np.subtract(new_u, u, out=scratch), out=scratch).max())
-        u, new_u = new_u, u
-        centroids = centroids_of(u)
-        if change < _TOL:
-            break
+    # When k exceeds the distinct samples, a cluster can lose all its
+    # membership; its centroid is then 0/0, a NaN that _memberships and
+    # _repair_empty handle. Entered once per call, not per iteration.
+    with np.errstate(invalid="ignore"):
+        for iteration in range(1, _MAX_ITER + 1):
+            _memberships(_sq_distances(x, centroids), scratch, new_u)
+            change = float(np.abs(np.subtract(new_u, u, out=scratch), out=scratch).max())
+            u, new_u = new_u, u
+            centroids = centroids_of(u)
+            if change < _TOL:
+                break
     return u, centroids, initial, iteration
 
 

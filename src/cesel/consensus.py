@@ -146,6 +146,9 @@ class PipelineConfig:
     vary_k: bool = False              # sample candidate k from [2, 2*k_final]
 
     def __post_init__(self):
+        unknown = set(self.roster) - set(ALGORITHM_IDS)
+        if unknown:
+            raise ValueError(f"unknown algorithm IDs: {sorted(unknown)}")
         if self.k_final < 2:
             raise ValueError("final cluster count must be >= 2")
         if self.seed < 0:

@@ -275,6 +275,8 @@ class TestRunCes:
             PipelineConfig(k_final=2, committee_target=10, max_attempts=5)
         with pytest.raises(ValueError):
             PipelineConfig(k_final=2, consensus="mcla")
+        with pytest.raises(ValueError, match=r"unknown algorithm IDs: \['BOGUS'\]"):
+            PipelineConfig(k_final=2, roster=("K", "BOGUS"))
 
 
 RING = gen_half_ring(60, 0.05, seed=11)

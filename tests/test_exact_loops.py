@@ -207,11 +207,15 @@ def test_fcm_on_duplicated_points_raises_no_floating_point_warning():
     # points, so the zero-distance path runs in most iterations
     x = np.repeat(gen_blobs(5, [[0, 0], [3, 0]], 0.5, seed=1).samples, 3, axis=0)
     x = np.vstack([x, np.zeros((4, 2))])
+    # 4 distinct points, each thrice, at k = 6: a cluster loses all its
+    # membership, and its centroid update divides 0 by 0
+    few = np.repeat([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], 3, axis=0)
+    cases = [(x, 2), (x, 5), (x, 11), (few, 6)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for k in (2, 5, 11):
-            for seed in range(3):
-                run_fcm(_dataset(x), ClustererConfig("F", k, seed))
+        for data, k in cases:
+            for seed in range(4):
+                run_fcm(_dataset(data), ClustererConfig("F", k, seed))
 
 
 # --- Lloyd ----------------------------------------------------------------------
