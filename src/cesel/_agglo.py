@@ -30,12 +30,19 @@ import numpy as np
 LINKAGE_METHODS = ("single", "complete", "average", "ward")
 
 
-def linkage_merge(dissimilarity: np.ndarray, method: str) -> list[tuple[int, int, float, int]]:
+def linkage_merge(
+    dissimilarity: np.ndarray, method: str, sizes: np.ndarray | None = None
+) -> list[tuple[int, int, float, int]]:
     """Run bottom-up merging; returns n-1 records (left, right, height, size).
 
     Ties in the closest pair go to the smallest (row, column) slot pair,
     which keeps the merge sequence deterministic. Entries must not be
     NaN.
+
+    ``sizes`` gives each starting node's size (default: all ones). With
+    sizes, row i stands for ``sizes[i]`` samples that merged at distance
+    0 among themselves, so ``"average"`` merges the groups as it would
+    the samples; each record's size counts samples, not nodes.
     """
     if method not in LINKAGE_METHODS:
         raise ValueError(f"unknown linkage method {method!r}")
@@ -43,6 +50,12 @@ def linkage_merge(dissimilarity: np.ndarray, method: str) -> list[tuple[int, int
     n = d.shape[0]
     if d.shape != (n, n):
         raise ValueError("dissimilarity matrix must be square")
+    if sizes is None:
+        size = np.ones(n, dtype=int)    # slot -> cluster size
+    else:
+        size = np.array(sizes, dtype=int)
+        if size.shape != (n,) or (n and size.min() < 1) or not np.array_equal(size, sizes):
+            raise ValueError("sizes must hold one positive count per row")
     if n < 2:
         return []
     # Rows and columns of merged-away slots are held at +inf, so full
@@ -50,7 +63,6 @@ def linkage_merge(dissimilarity: np.ndarray, method: str) -> list[tuple[int, int
     np.fill_diagonal(d, np.inf)
 
     node_id = list(range(n))        # slot -> current cluster id
-    size = np.ones(n, dtype=int)    # slot -> cluster size
     row_arg = d.argmin(axis=1)      # slot -> smallest column holding the row minimum
     row_min = d[np.arange(n), row_arg]
     merges: list[tuple[int, int, float, int]] = []

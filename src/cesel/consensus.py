@@ -3,7 +3,9 @@
 Candidates come from the base clusterers, pass the diversity gate, and
 accumulate into a committee. Each admitted entry gets an independency
 weight; the weighted co-association matrix is merged by average linkage
-and cut at the requested cluster count. The whole pipeline is a pure
+and cut at the requested cluster count. The pipeline fuses one
+representative per distinct label signature instead of every sample
+(see :func:`fuse`). The whole pipeline is a pure
 function of (dataset, config): a fixed master seed reproduces every
 candidate, every admission decision, and the final partition.
 """
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -68,6 +70,39 @@ def eac(partitions: list[Partition]) -> np.ndarray:
     return acc / len(partitions)
 
 
+def _checked_weights(committee: list[CommitteeEntry], weights) -> np.ndarray:
+    """``weights`` as floats, one per entry of a non-empty committee."""
+    if not committee:
+        raise EmptyCommittee("weighted accumulation needs at least one entry")
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (len(committee),):
+        raise WeightMismatch(
+            f"{len(weights)} weights for {len(committee)} committee entries"
+        )
+    return weights
+
+
+def _labels(committee: list[CommitteeEntry]) -> np.ndarray:
+    """The committee's assignments as an n x m matrix, one column per entry."""
+    return np.stack([entry.partition.assignments for entry in committee], axis=1)
+
+
+def _signatures(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the rows of ``labels`` (one sample per row) by equal content.
+
+    Returns ``(first, inverse)``: the index of each distinct row's first
+    sample, and each sample's slot in ``first``. Slots follow first
+    occurrence, so ``first`` is increasing and a slot's number orders it
+    by its smallest sample index. A matrix with no columns has one
+    signature.
+    """
+    _, first, inverse = np.unique(labels, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    slot = np.empty_like(order)
+    slot[order] = np.arange(len(order))
+    return first[order], slot[inverse.ravel()]
+
+
 def weac(committee: list[CommitteeEntry], weights: np.ndarray) -> np.ndarray:
     """Weighted evidence accumulation over committee entries.
 
@@ -81,19 +116,12 @@ def weac(committee: list[CommitteeEntry], weights: np.ndarray) -> np.ndarray:
     same additions, in the same order, as on the n x n matrix, so the
     result is the dense accumulation bit for bit.
     """
-    if not committee:
-        raise EmptyCommittee("weighted accumulation needs at least one entry")
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (len(committee),):
-        raise WeightMismatch(
-            f"{len(weights)} weights for {len(committee)} committee entries"
-        )
-    labels = np.stack([entry.partition.assignments for entry in committee], axis=1)
-    signatures, inverse = np.unique(labels, axis=0, return_inverse=True)
-    acc = np.zeros((len(signatures), len(signatures)))
-    for a, w in zip(signatures.T, weights):
+    weights = _checked_weights(committee, weights)
+    labels = _labels(committee)
+    first, inverse = _signatures(labels)
+    acc = np.zeros((len(first), len(first)))
+    for a, w in zip(labels[first].T, weights):
         acc += w * (a[:, None] == a[None, :])
-    inverse = inverse.ravel()
     c = (acc / len(committee)).take(inverse, axis=0).take(inverse, axis=1)
     np.fill_diagonal(c, 1.0)
     return c
@@ -111,16 +139,18 @@ class Dendrogram:
             raise ValueError(f"expected {self.n - 1} merges, got {len(self.merges)}")
 
 
-def average_linkage(co_association: np.ndarray) -> Dendrogram:
+def average_linkage(co_association: np.ndarray, sizes: np.ndarray | None = None) -> Dendrogram:
     """Merge tree of the co-association evidence under average linkage.
 
     Dissimilarity is 1 - association, so pairs that always co-cluster
-    merge at height 0 and pairs that never do merge at height 1.
+    merge at height 0 and pairs that never do merge at height 1. With
+    ``sizes``, row i stands for ``sizes[i]`` samples that share its row
+    (see :func:`linkage_merge`); the tree's leaves are still the rows.
     """
     c = np.asarray(co_association, dtype=float)
     dissimilarity = 1.0 - c
     np.fill_diagonal(dissimilarity, 0.0)
-    return Dendrogram(c.shape[0], tuple(linkage_merge(dissimilarity, "average")))
+    return Dendrogram(c.shape[0], tuple(linkage_merge(dissimilarity, "average", sizes)))
 
 
 def cut(dendrogram: Dendrogram, k: int) -> Partition:
@@ -129,6 +159,39 @@ def cut(dendrogram: Dendrogram, k: int) -> Partition:
         raise InvalidK(f"cannot cut {dendrogram.n} samples into {k} clusters")
     labels = cut_merges(list(dendrogram.merges), dendrogram.n, k)
     return Partition(labels, k)
+
+
+def fuse(committee: list[CommitteeEntry], weights: np.ndarray, k: int) -> Partition:
+    """The consensus partition of a weighted committee, over its signatures.
+
+    Samples labelled alike by every entry of positive weight have equal
+    co-association rows, so one representative per such signature
+    carries the evidence: :func:`weac` runs on the u representatives,
+    :func:`average_linkage` merges them with their sample counts as
+    starting sizes, and the cut at ``k`` is mapped back to every sample.
+    The result is labelled in order of each cluster's smallest sample
+    index, as :func:`cut` labels the dense tree.
+
+    When u < k the representatives cannot make k clusters, and the dense
+    ``cut(average_linkage(weac(committee, weights)), k)`` runs instead;
+    that includes all-zero weights (u = 1).
+
+    The two paths agree in exact arithmetic. In floating point the dense
+    merge's average update drifts by ulps on equal rows, while the fused
+    merge starts from one undrifted row per signature; where merges tie
+    exactly, the two can therefore take another merge order and cut
+    another partition.
+    """
+    weights = _checked_weights(committee, weights)
+    first, inverse = _signatures(_labels(committee)[:, weights > 0])
+    if len(first) < k:
+        return cut(average_linkage(weac(committee, weights)), k)
+    representatives = [
+        replace(e, partition=Partition(e.partition.assignments[first], e.partition.k))
+        for e in committee
+    ]
+    tree = average_linkage(weac(representatives, weights), np.bincount(inverse))
+    return Partition(cut(tree, k).assignments[inverse], k)
 
 
 @dataclass(frozen=True)
@@ -296,7 +359,7 @@ def run_ces(data: Dataset, cfg: PipelineConfig) -> tuple[Partition, RunReport]:
         weights = ai_weights(committee, aidm)
     else:
         weights = np.ones(len(committee))  # unit weights: exactly eac
-    final = cut(average_linkage(weac(committee, weights)), cfg.k_final)
+    final = fuse(committee, weights, cfg.k_final)
 
     per_entry = tuple(
         {

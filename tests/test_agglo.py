@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cesel import assets
-from cesel._agglo import LINKAGE_METHODS, linkage_merge
+from cesel._agglo import LINKAGE_METHODS, cut_merges, linkage_merge
 from cesel.clusterers import cosine_matrix, euclidean_matrix, hamming_matrix
 from cesel.harness import load_csv
 
@@ -95,7 +95,9 @@ def dissimilarities(draw):
 @given(dissimilarities())
 def test_matches_full_scan_oracle(d):
     for method in LINKAGE_METHODS:
-        assert linkage_merge(d, method) == oracle_linkage_merge(d, method)
+        merges = oracle_linkage_merge(d, method)
+        assert linkage_merge(d, method) == merges
+        assert linkage_merge(d, method, sizes=np.ones(len(d))) == merges
 
 
 @pytest.mark.parametrize("distance", [euclidean_matrix, hamming_matrix, cosine_matrix])
@@ -106,9 +108,38 @@ def test_matches_oracle_on_iris(distance, method):
     assert linkage_merge(d, method) == oracle_linkage_merge(d, method)
 
 
+def _canonical(labels):
+    """Labels renumbered by first occurrence, so equal partitions compare equal."""
+    first = {}
+    return [first.setdefault(v, len(first)) for v in labels]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 12), st.integers(1, 3), st.integers(0, 2**32 - 1), st.data())
+def test_sized_average_matches_expanded_unit_merge(u, dim, seed, data):
+    # Row i of the sized merge stands for sizes[i] samples at distance 0
+    # from each other; the unit merge runs on those samples, shuffled.
+    rng = np.random.default_rng(seed)
+    d = euclidean_matrix(rng.random((u, dim)))  # tie-free with probability 1
+    sizes = np.array(data.draw(st.lists(st.integers(1, 4), min_size=u, max_size=u)))
+    group = rng.permutation(np.repeat(np.arange(u), sizes))
+    sized = linkage_merge(d, "average", sizes=sizes)
+    unit = linkage_merge(d[np.ix_(group, group)], "average")
+    assert [m[3] for m in sized][-1] == sizes.sum()
+    for k in range(1, u + 1):
+        expanded = cut_merges(sized, u, k)[group]
+        assert _canonical(expanded) == _canonical(cut_merges(unit, len(group), k))
+
+
 def test_rejects_bad_input():
     with pytest.raises(ValueError, match="unknown linkage"):
         linkage_merge(np.zeros((3, 3)), "median")
     with pytest.raises(ValueError, match="square"):
         linkage_merge(np.zeros((3, 2)), "single")
     assert linkage_merge(np.zeros((1, 1)), "single") == []
+    with pytest.raises(ValueError, match="sizes"):
+        linkage_merge(np.zeros((3, 3)), "average", sizes=[1, 2])
+    with pytest.raises(ValueError, match="sizes"):
+        linkage_merge(np.zeros((3, 3)), "average", sizes=[1, 0, 2])
+    with pytest.raises(ValueError, match="sizes"):
+        linkage_merge(np.zeros((3, 3)), "average", sizes=[1, 1.5, 2])

@@ -1,7 +1,9 @@
 """Co-association evidence, merge tree, cut, and the full pipeline."""
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cesel.clusterers import LINKAGE_IDS, Partition, run_algorithm
@@ -12,6 +14,7 @@ from cesel.consensus import (
     average_linkage,
     cut,
     eac,
+    fuse,
     run_ces,
     weac,
 )
@@ -189,6 +192,167 @@ class TestAverageLinkageCut:
     def test_dendrogram_merge_count_validated(self):
         with pytest.raises(ValueError):
             Dendrogram(5, ((0, 1, 0.0, 2),))
+
+
+def dense(committee, weights, k):
+    """The dense oracle for :func:`fuse`: n x n evidence, merge and cut."""
+    return cut(average_linkage(weac(committee, weights)), k).assignments
+
+
+def canonical(labels):
+    """Labels renumbered by first occurrence, so equal partitions compare equal."""
+    first = {}
+    return [first.setdefault(v, len(first)) for v in labels]
+
+
+@st.composite
+def tie_free_committees(draw):
+    """Committees over 2 <= u <= 6 signatures whose u x u evidence has no tie.
+
+    Each of n samples takes one of u distinct label rows; weights are
+    continuous, so pairs of signatures agreeing on different entries get
+    different evidence, and the drawn labels must make every pair's
+    agreement set different.
+    """
+    m = draw(st.integers(2, 8))
+    u = draw(st.integers(2, 6))
+    rows = draw(st.lists(st.lists(st.integers(0, 3), min_size=m, max_size=m),
+                         min_size=u, max_size=u, unique_by=tuple))
+    n = draw(st.integers(u, 40))
+    which = np.array(list(range(u)) + draw(st.lists(st.integers(0, u - 1),
+                                                    min_size=n - u, max_size=n - u)))
+    which = which[np.asarray(draw(st.permutations(range(n))))]
+    rows = np.array(rows)
+    labels = rows[which].T
+    agree = [tuple(a == b) for i, a in enumerate(rows) for b in rows[i + 1:]]
+    assume(len(set(agree)) == len(agree))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.uniform(0.05, 1.0, m)
+    return [entry(part(row, 4), run_index=i) for i, row in enumerate(labels)], weights, u
+
+
+def spy_weac(monkeypatch):
+    """Record the size of every matrix the pipeline's ``weac`` returns."""
+    shapes = []
+
+    def recording(committee, weights):
+        c = weac(committee, weights)
+        shapes.append(c.shape[0])
+        return c
+
+    monkeypatch.setattr("cesel.consensus.weac", recording)
+    return shapes
+
+
+class TestFuse:
+    @settings(max_examples=200, deadline=None)
+    @given(tie_free_committees(), st.integers(2, 8))
+    def test_matches_dense_oracle_when_tie_free(self, drawn, k):
+        committee, weights, _ = drawn
+        k = min(k, len(committee[0].partition))
+        assert np.array_equal(fuse(committee, weights, k).assignments,
+                              dense(committee, weights, k))
+
+    @settings(max_examples=100, deadline=None)
+    @given(tie_free_committees(), st.integers(2, 8), st.data())
+    def test_sample_permutation_equivariance(self, drawn, k, data):
+        # Below u clusters the dense fallback ties equal rows by position.
+        committee, weights, u = drawn
+        n = len(committee[0].partition)
+        k = min(k, u)
+        perm = np.asarray(data.draw(st.permutations(range(n))))
+        permuted = [entry(part(e.partition.assignments[perm], 4), run_index=e.run_index)
+                    for e in committee]
+        base = fuse(committee, weights, k).assignments
+        assert canonical(fuse(permuted, weights, k).assignments) == canonical(base[perm])
+
+    def test_group_sizes_steer_the_merge(self):
+        # Signatures {0, 1}, {2}, {3, 4, 5} and {6}; merged with unit sizes
+        # the representatives would cut [0, 0, 1, 1, 1, 1, 0].
+        labels = [[2, 2, 0, 0, 0, 0, 2], [2, 2, 2, 2, 2, 2, 0], [1, 1, 0, 1, 1, 1, 1]]
+        committee = [entry(part(row, 3), run_index=i) for i, row in enumerate(labels)]
+        weights = np.array([0.6, 0.5, 0.8])
+        result = fuse(committee, weights, 2).assignments
+        assert result.tolist() == [0, 0, 1, 0, 0, 0, 0]
+        assert np.array_equal(result, dense(committee, weights, 2))
+
+    def test_all_zero_weights_fall_back_to_dense(self, monkeypatch):
+        shapes = spy_weac(monkeypatch)
+        parts = [part([0, 0, 1, 1, 2]), part([0, 1, 1, 0, 2])]
+        committee = [entry(p, run_index=i) for i, p in enumerate(parts)]
+        result = fuse(committee, np.zeros(2), 3)
+        assert shapes == [5]
+        assert np.array_equal(result.assignments, dense(committee, np.zeros(2), 3))
+
+    def test_fewer_signatures_than_k_falls_back_to_dense(self, monkeypatch):
+        shapes = spy_weac(monkeypatch)
+        parts = [part([0, 0, 1, 1, 1, 0]), part([1, 1, 0, 0, 0, 1])]  # u = 2
+        committee = [entry(p, run_index=i) for i, p in enumerate(parts)]
+        weights = np.array([0.3, 0.8])
+        result = fuse(committee, weights, 3)
+        assert shapes == [6]
+        assert np.array_equal(result.assignments, dense(committee, weights, 3))
+        assert len(set(result.assignments)) == 3
+
+    def test_zero_weight_entry_does_not_split_a_signature(self, monkeypatch):
+        shapes = spy_weac(monkeypatch)
+        parts = [part([0, 0, 1, 1, 2, 2]), part([0, 0, 0, 0, 1, 1]), part([0, 1, 2, 3, 4, 5])]
+        committee = [entry(p, run_index=i) for i, p in enumerate(parts)]
+        weights = np.array([0.7, 0.4, 0.0])
+        result = fuse(committee, weights, 2)
+        assert shapes == [3]  # the last entry would split all three pairs
+        assert np.array_equal(result.assignments, dense(committee, weights, 2))
+        assert result.assignments.tolist() == [0, 0, 0, 0, 1, 1]
+
+    def test_distinct_signatures_match_dense_bit_for_bit(self, monkeypatch):
+        rng = np.random.default_rng(137)
+        parts = [part(np.arange(12))] + [part(rng.integers(0, 3, 12), 3) for _ in range(3)]
+        committee = [entry(p, run_index=i) for i, p in enumerate(parts)]
+        weights = np.array([0.2, 0.5, 0.5, 0.9])
+        trees = []
+
+        def recording(c, sizes=None):
+            trees.append(average_linkage(c, sizes))
+            return trees[-1]
+
+        monkeypatch.setattr("cesel.consensus.average_linkage", recording)
+        for k in range(2, 13):
+            assert np.array_equal(fuse(committee, weights, k).assignments,
+                                  dense(committee, weights, k))
+        assert trees[0] == average_linkage(weac(committee, weights))  # u = n
+
+    def test_eac_mode_matches_dense_eac(self, monkeypatch):
+        fused = []
+
+        def recording(committee, weights, k):
+            fused.append((committee, weights, k))
+            return fuse(committee, weights, k)
+
+        monkeypatch.setattr("cesel.consensus.fuse", recording)
+        cfg = PipelineConfig(k_final=3, d_threshold=0.0, committee_target=4,
+                             max_attempts=12, seed=139, consensus="eac", roster=("K", "F"),
+                             vary_k=True)
+        final, _ = run_ces(BLOBS, cfg)
+        (committee, weights, k), = fused
+        assert np.array_equal(weights, np.ones(4))
+        oracle = cut(average_linkage(eac([e.partition for e in committee])), k)
+        assert np.array_equal(final.assignments, oracle.assignments)
+
+    def test_memory_stays_at_signature_scale(self):
+        # One dense 6000 x 6000 float64 matrix is 288 MB.
+        rng = np.random.default_rng(149)
+        n = 6000
+        parts = [part(rng.integers(0, 2, n), 2) for _ in range(6)]  # <= 64 signatures
+        committee = [entry(p, run_index=i) for i, p in enumerate(parts)]
+        weights = rng.uniform(0.1, 1.0, 6)
+        tracemalloc.start()
+        try:
+            result = fuse(committee, weights, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(set(result.assignments)) == 3
+        assert peak < 16 * 2**20
 
 
 BLOBS = gen_blobs(15, [[0.0, 0.0], [9.0, 9.0]], 0.5, seed=97)
