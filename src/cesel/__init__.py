@@ -33,7 +33,6 @@ from .clusterers import (
 )
 from .consensus import (
     CommitteeEntry,
-    Dendrogram,
     PipelineConfig,
     RunReport,
     average_linkage,

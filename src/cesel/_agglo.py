@@ -5,10 +5,12 @@ construction: the Hamming linkage clusterers (distances are multiples of
 1/d) and the consensus step (1 - co-association takes few values). There
 the tie rule below decides the partition. The Euclidean and cosine
 linkage clusterers use scipy's compiled ``linkage`` instead, which merges
-tie-free inputs the same way (see ``clusterers.run_linkage``). Merge
-records follow the usual convention, which scipy's shares: original
-samples are nodes 0..n-1 and the cluster created by merge ``i`` is node
-``n + i``.
+tie-free inputs the same way (see ``clusterers.run_linkage``).
+
+A merge tree is scipy's linkage matrix, a float (n-1, 4) array: row ``i``
+holds merge ``i``'s (left node, right node, height, size), samples are
+nodes 0..n-1 and merge ``i`` creates node ``n + i``. :func:`cut_merges`
+cuts this engine's trees and scipy's alike.
 
 Each step merges the closest pair of active clusters. Ties go to the
 smallest row, then the smallest column, of the current matrix (the
@@ -27,13 +29,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidK
+
 LINKAGE_METHODS = ("single", "complete", "average", "ward")
 
 
 def linkage_merge(
     dissimilarity: np.ndarray, method: str, sizes: np.ndarray | None = None
-) -> list[tuple[int, int, float, int]]:
-    """Run bottom-up merging; returns n-1 records (left, right, height, size).
+) -> np.ndarray:
+    """Run bottom-up merging; returns the (n-1, 4) linkage matrix.
 
     Ties in the closest pair go to the smallest (row, column) slot pair,
     which keeps the merge sequence deterministic. Entries must not be
@@ -42,7 +46,7 @@ def linkage_merge(
     ``sizes`` gives each starting node's size (default: all ones). With
     sizes, row i stands for ``sizes[i]`` samples that merged at distance
     0 among themselves, so ``"average"`` merges the groups as it would
-    the samples; each record's size counts samples, not nodes.
+    the samples; the size column counts samples, not rows.
     """
     if method not in LINKAGE_METHODS:
         raise ValueError(f"unknown linkage method {method!r}")
@@ -57,7 +61,7 @@ def linkage_merge(
         if size.shape != (n,) or (n and size.min() < 1) or not np.array_equal(size, sizes):
             raise ValueError("sizes must hold one positive count per row")
     if n < 2:
-        return []
+        return np.empty((0, 4))
     # Rows and columns of merged-away slots are held at +inf, so full
     # columns can be updated without first selecting the active slots.
     np.fill_diagonal(d, np.inf)
@@ -65,7 +69,7 @@ def linkage_merge(
     node_id = list(range(n))        # slot -> current cluster id
     row_arg = d.argmin(axis=1)      # slot -> smallest column holding the row minimum
     row_min = d[np.arange(n), row_arg]
-    merges: list[tuple[int, int, float, int]] = []
+    merges = np.empty((n - 1, 4))
 
     for step in range(n - 1):
         r = int(row_min.argmin())
@@ -108,39 +112,30 @@ def linkage_merge(
 
         left, right = sorted((node_id[i], node_id[j]))
         size[i] = si + sj
-        merges.append((left, right, height, int(size[i])))
+        merges[step] = left, right, height, size[i]
         node_id[i] = n + step
 
     return merges
 
 
-def cut_merges(merges: list[tuple[int, int, float, int]], n: int, k: int) -> np.ndarray:
-    """Labels after undoing the last k-1 merges (exactly k clusters).
+def cut_merges(tree: np.ndarray, k: int) -> np.ndarray:
+    """Labels after undoing the last k-1 merges of ``tree`` (exactly k clusters).
 
-    Labels are renumbered 0..k-1 in order of each cluster's smallest
-    sample index.
+    ``tree`` is a linkage matrix over n = ``len(tree) + 1`` samples.
+    Raises :class:`InvalidK` for k outside [1, n]. Labels are numbered
+    0..k-1 in order of each cluster's smallest sample index.
     """
+    n = len(tree) + 1
     if not 1 <= k <= n:
-        raise ValueError(f"cluster count {k} outside [1, {n}]")
-    parent = list(range(2 * n - 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for step in range(n - k):
-        left, right, _, _ = merges[step]
-        new = n + step
-        parent[find(left)] = new
-        parent[find(right)] = new
-
-    roots = [find(i) for i in range(n)]
-    relabel: dict[int, int] = {}
-    labels = np.empty(n, dtype=int)
-    for i, root in enumerate(roots):
-        if root not in relabel:
-            relabel[root] = len(relabel)
-        labels[i] = relabel[root]
-    return labels
+        raise InvalidK(f"cannot cut {n} samples into {k} clusters")
+    kept = n - k
+    parent = np.arange(n + kept)
+    parent[tree[:kept, :2].astype(np.intp)] = np.arange(n, n + kept)[:, None]
+    # Pointer jumping: every node ends at the root of its kept subtree.
+    while not np.array_equal(grand := parent[parent], parent):
+        parent = grand
+    roots = parent[:n]
+    _, first = np.unique(roots, return_index=True)
+    label_of = np.empty(n + kept, dtype=int)
+    label_of[roots[np.sort(first)]] = np.arange(k)
+    return label_of[roots]

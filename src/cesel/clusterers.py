@@ -376,10 +376,10 @@ def run_linkage(data: Dataset, cfg: ClustererConfig) -> tuple[Partition, BasicPa
     the ``?LH`` IDs merge on the exact engine of :mod:`cesel._agglo`,
     whose row-major tie rule then decides the partition. Euclidean and
     cosine IDs merge on scipy's compiled ``linkage`` (Müllner's MST and
-    NN-chain algorithms). On tie-free distances both give the same
-    partition at every k. Where distances tie, scipy may merge the tied
-    pairs in another order than the engine and so cut a different,
-    equally deterministic partition.
+    NN-chain algorithms). Either linkage matrix goes to the one cut,
+    ``cut_merges``. On tie-free distances both give the same partition
+    at every k. Where distances tie, scipy may merge the tied pairs in
+    another order and so cut a different, equally deterministic partition.
     """
     alg = cfg.algorithm_id
     if alg not in LINKAGE_IDS:
@@ -389,17 +389,15 @@ def run_linkage(data: Dataset, cfg: ClustererConfig) -> tuple[Partition, BasicPa
     dist = _DISTANCE_FNS[alg[2]](data.samples)
     method = _LINKAGE_NAMES[alg[0]]
     if alg[2] == "H":
-        merges = linkage_merge(dist, method)
+        tree = linkage_merge(dist, method)
     else:
         # Imported on first use: scipy.cluster loads scipy.spatial (~50 ms),
         # which runs and commands without such a linkage need not pay.
         from scipy.cluster.hierarchy import linkage
         from scipy.spatial.distance import squareform
 
-        z = linkage(squareform(dist, checks=False), method)
-        merges = [(int(left), int(right), height, int(size))
-                  for left, right, height, size in z.tolist()]
-    labels = cut_merges(merges, data.n, cfg.k)
+        tree = linkage(squareform(dist, checks=False), method)
+    labels = cut_merges(tree, cfg.k)
     code = np.array([["SACW".index(alg[0]), "EHC".index(alg[2])]], dtype=float)
     return Partition(labels, cfg.k), BasicParams(alg, code)
 

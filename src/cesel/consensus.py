@@ -108,57 +108,39 @@ def weac(committee: list[CommitteeEntry], weights: np.ndarray) -> np.ndarray:
 
     Each co-clustering vote counts its entry's weight; the denominator
     stays the committee size, so unit weights reduce exactly to
-    :func:`eac`. The diagonal is pinned to 1.
-
-    Samples with the same labels in every entry (the same signature) have
-    the same row, so the votes are added on the u x u matrix of the u
-    distinct signatures and then expanded to n x n. Every entry gets the
-    same additions, in the same order, as on the n x n matrix, so the
-    result is the dense accumulation bit for bit.
+    :func:`eac`. The diagonal is pinned to 1. Returns the dense n x n
+    matrix; the pipeline keeps n small by passing one representative per
+    label signature (see :func:`fuse`).
     """
     weights = _checked_weights(committee, weights)
     labels = _labels(committee)
-    first, inverse = _signatures(labels)
-    acc = np.zeros((len(first), len(first)))
-    for a, w in zip(labels[first].T, weights):
+    n = labels.shape[0]
+    acc = np.zeros((n, n))
+    for a, w in zip(labels.T, weights):
         acc += w * (a[:, None] == a[None, :])
-    c = (acc / len(committee)).take(inverse, axis=0).take(inverse, axis=1)
+    c = acc / len(committee)
     np.fill_diagonal(c, 1.0)
     return c
 
 
-@dataclass(frozen=True)
-class Dendrogram:
-    """Full merge tree over n samples: (left, right, height, size) per merge."""
-
-    n: int
-    merges: tuple[tuple[int, int, float, int], ...]
-
-    def __post_init__(self):
-        if len(self.merges) != self.n - 1:
-            raise ValueError(f"expected {self.n - 1} merges, got {len(self.merges)}")
-
-
-def average_linkage(co_association: np.ndarray, sizes: np.ndarray | None = None) -> Dendrogram:
-    """Merge tree of the co-association evidence under average linkage.
+def average_linkage(co_association: np.ndarray, sizes: np.ndarray | None = None) -> np.ndarray:
+    """Linkage matrix of the co-association evidence under average linkage.
 
     Dissimilarity is 1 - association, so pairs that always co-cluster
     merge at height 0 and pairs that never do merge at height 1. With
     ``sizes``, row i stands for ``sizes[i]`` samples that share its row
-    (see :func:`linkage_merge`); the tree's leaves are still the rows.
+    (see :func:`linkage_merge`); the tree's leaves are still the rows,
+    but its size column counts samples, not leaves.
     """
     c = np.asarray(co_association, dtype=float)
     dissimilarity = 1.0 - c
     np.fill_diagonal(dissimilarity, 0.0)
-    return Dendrogram(c.shape[0], tuple(linkage_merge(dissimilarity, "average", sizes)))
+    return linkage_merge(dissimilarity, "average", sizes)
 
 
-def cut(dendrogram: Dendrogram, k: int) -> Partition:
+def cut(tree: np.ndarray, k: int) -> Partition:
     """Undo the last k-1 merges, leaving exactly k non-empty clusters."""
-    if not 1 <= k <= dendrogram.n:
-        raise InvalidK(f"cannot cut {dendrogram.n} samples into {k} clusters")
-    labels = cut_merges(list(dendrogram.merges), dendrogram.n, k)
-    return Partition(labels, k)
+    return Partition(cut_merges(tree, k), k)
 
 
 def fuse(committee: list[CommitteeEntry], weights: np.ndarray, k: int) -> Partition:

@@ -31,14 +31,15 @@ def load_csv(path: str | Path, label_column: str | None = None) -> Dataset:
     Empty cells (and NA/NaN/null markers) become missing values, imputed
     during preprocessing. ``label_column`` names an optional class column;
     its values may be arbitrary strings and are encoded by first
-    appearance. Any other non-numeric cell raises :class:`ParseError`
-    naming the offending row and column.
+    appearance. Any other non-numeric or infinite cell raises
+    :class:`ParseError` naming the offending row and column, as does a
+    file with fewer than two data rows or no feature column.
     """
     path = Path(path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    if len(rows) < 2:
-        raise ParseError(f"{path}: need a header row and at least one data row")
+    if len(rows) < 3:
+        raise ParseError(f"{path}: need a header row and at least two data rows")
     header = [h.strip() for h in rows[0]]
     label_idx = None
     if label_column is not None:
@@ -46,6 +47,8 @@ def load_csv(path: str | Path, label_column: str | None = None) -> Dataset:
             raise ParseError(f"{path}: no column named {label_column!r}")
         label_idx = header.index(label_column)
     feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
+    if not feature_names:
+        raise ParseError(f"{path}: no feature column")
 
     raw: list[list[float]] = []
     label_codes: dict[str, int] = {}
@@ -64,11 +67,14 @@ def load_csv(path: str | Path, label_column: str | None = None) -> Dataset:
                 values.append(float("nan"))
                 continue
             try:
-                values.append(float(text))
+                value = float(text)
             except ValueError:
                 raise ParseError(
                     f"{path}: row {r}, column {header[c]!r}: not numeric: {cell!r}"
                 ) from None
+            if np.isinf(value):
+                raise ParseError(f"{path}: row {r}, column {header[c]!r}: not finite: {cell!r}")
+            values.append(value)
         raw.append(values)
 
     return preprocess(

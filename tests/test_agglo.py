@@ -1,18 +1,24 @@
-"""The cached-row-minimum linkage engine against the plain full-scan loop.
+"""The linkage engine and the cut against plain reference loops.
 
-The oracle below is the original engine: at every step it copies the
-active submatrix and takes its row-major first minimum. The cached engine
-must reproduce its merge list exactly (same pairs, bit-identical heights)
-for every method, above all on tie-heavy inputs.
+The first oracle below is the original engine: at every step it copies
+the active submatrix and takes its row-major first minimum. The cached
+engine must reproduce its linkage matrix exactly (same pairs,
+bit-identical heights) for every method, above all on tie-heavy inputs.
+The second oracle is the original cut, a Python union-find over the
+merge records; the vectorised cut must label every tree as it does, for
+the engine's trees and scipy's.
 """
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.cluster.hierarchy import linkage
+from scipy.spatial.distance import squareform
 
 from cesel import assets
 from cesel._agglo import LINKAGE_METHODS, cut_merges, linkage_merge
 from cesel.clusterers import cosine_matrix, euclidean_matrix, hamming_matrix
+from cesel.errors import InvalidK
 from cesel.harness import load_csv
 
 
@@ -63,7 +69,28 @@ def oracle_linkage_merge(dissimilarity, method):
         node_id[i] = n + step
         active[j] = False
 
-    return merges
+    return np.array(merges, dtype=float).reshape(-1, 4)
+
+
+def oracle_cut_merges(tree, k):
+    """Union-find over the first n-k merges; labels by smallest sample index."""
+    n = len(tree) + 1
+    parent = list(range(2 * n - 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for step in range(n - k):
+        left, right = int(tree[step][0]), int(tree[step][1])
+        new = n + step
+        parent[find(left)] = new
+        parent[find(right)] = new
+
+    relabel: dict[int, int] = {}
+    return np.array([relabel.setdefault(find(i), len(relabel)) for i in range(n)])
 
 
 def _one_minus_coassociation(labels: np.ndarray) -> np.ndarray:
@@ -96,8 +123,32 @@ def dissimilarities(draw):
 def test_matches_full_scan_oracle(d):
     for method in LINKAGE_METHODS:
         merges = oracle_linkage_merge(d, method)
-        assert linkage_merge(d, method) == merges
-        assert linkage_merge(d, method, sizes=np.ones(len(d))) == merges
+        assert np.array_equal(linkage_merge(d, method), merges)
+        assert np.array_equal(linkage_merge(d, method, sizes=np.ones(len(d))), merges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dissimilarities())
+def test_cut_matches_union_find_oracle(d):
+    n = len(d)
+    for method in LINKAGE_METHODS:
+        trees = [linkage_merge(d, method)]
+        if n > 1:
+            trees.append(linkage(squareform(d, checks=False), method))
+        for tree in trees:
+            for k in range(1, n + 1):
+                assert np.array_equal(cut_merges(tree, k), oracle_cut_merges(tree, k)), k
+
+
+def test_cut_edges():
+    tree = linkage_merge(euclidean_matrix(np.arange(4.0)[:, None]), "single")
+    for k in (0, 5):
+        with pytest.raises(InvalidK):
+            cut_merges(tree, k)
+    single = linkage_merge(np.zeros((1, 1)), "single")
+    assert cut_merges(single, 1).tolist() == [0]
+    with pytest.raises(InvalidK):
+        cut_merges(single, 2)
 
 
 @pytest.mark.parametrize("distance", [euclidean_matrix, hamming_matrix, cosine_matrix])
@@ -105,7 +156,7 @@ def test_matches_full_scan_oracle(d):
 def test_matches_oracle_on_iris(distance, method):
     # n=150 with duplicate samples: long runs of rescans and exact ties.
     d = distance(load_csv(assets.iris_csv_path(), label_column="species").samples)
-    assert linkage_merge(d, method) == oracle_linkage_merge(d, method)
+    assert np.array_equal(linkage_merge(d, method), oracle_linkage_merge(d, method))
 
 
 def _canonical(labels):
@@ -125,10 +176,10 @@ def test_sized_average_matches_expanded_unit_merge(u, dim, seed, data):
     group = rng.permutation(np.repeat(np.arange(u), sizes))
     sized = linkage_merge(d, "average", sizes=sizes)
     unit = linkage_merge(d[np.ix_(group, group)], "average")
-    assert [m[3] for m in sized][-1] == sizes.sum()
+    assert sized[-1, 3] == sizes.sum()
     for k in range(1, u + 1):
-        expanded = cut_merges(sized, u, k)[group]
-        assert _canonical(expanded) == _canonical(cut_merges(unit, len(group), k))
+        expanded = cut_merges(sized, k)[group]
+        assert _canonical(expanded) == _canonical(cut_merges(unit, k))
 
 
 def test_rejects_bad_input():
@@ -136,7 +187,7 @@ def test_rejects_bad_input():
         linkage_merge(np.zeros((3, 3)), "median")
     with pytest.raises(ValueError, match="square"):
         linkage_merge(np.zeros((3, 2)), "single")
-    assert linkage_merge(np.zeros((1, 1)), "single") == []
+    assert np.array_equal(linkage_merge(np.zeros((1, 1)), "single"), np.empty((0, 4)))
     with pytest.raises(ValueError, match="sizes"):
         linkage_merge(np.zeros((3, 3)), "average", sizes=[1, 2])
     with pytest.raises(ValueError, match="sizes"):

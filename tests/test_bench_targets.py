@@ -34,10 +34,10 @@ def test_pipeline_calls_the_consensus_targets():
         consensus.run_ces(
             gen_blobs(20, [[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]], 1.0, seed=5),
             consensus.PipelineConfig(k_final=3, d_threshold=0.0, committee_target=4,
-                                     max_attempts=8, roster=("K", "F"), vary_k=True),
+                                     max_attempts=8, roster=("K", "ALH"), vary_k=True),
         )
     finally:
         tracer.uninstall()
     called = {span[0] for span in tracer.spans}
-    assert {"pipeline.run_ces", "consensus.coassoc", "consensus.average_linkage",
-            "consensus.linkage_merge", "consensus.cut"} <= called
+    assert {"pipeline.run_ces", "clusterers.linkage_merge", "consensus.coassoc",
+            "consensus.average_linkage", "consensus.linkage_merge", "consensus.cut"} <= called

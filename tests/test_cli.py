@@ -127,11 +127,19 @@ class TestExitCodes:
         assert main(["baseline", "--method", "kmeans", "--data", "x.csv",
                      "--k", "2"]) == 1  # nonexistent path -> usage error
 
-    def test_data_error_is_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, flags", [
+        ("a,b\n1,oops\n2,3\n", []),
+        ("a,b\n1,2\n", []),
+        ("lab\nx\ny\n", ["--label", "lab"]),
+        ("a,b\n1,inf\n2,3\n", []),
+    ], ids=["non-numeric", "one-row", "label-only", "infinite"])
+    def test_data_error_is_2(self, tmp_path, capsys, text, flags):
         bad = tmp_path / "bad.csv"
-        bad.write_text("a,b\n1,oops\n2,3\n")
-        rc = main(["run", "--data", str(bad), "--k", "2"])
+        bad.write_text(text)
+        rc = main(["run", "--data", str(bad), "--k", "2", *flags])
+        err = capsys.readouterr().err
         assert rc == 2
+        assert err.startswith("data error: ") and err.count("\n") == 1
 
     def test_pipeline_failure_is_3(self, tmp_path, capsys):
         ring = tmp_path / "ring.csv"

@@ -198,10 +198,10 @@ class TestLinkage:
         dist = {"E": euclidean_matrix, "C": cosine_matrix}[alg[2]](data.samples)
         condensed = dist[np.triu_indices(n, 1)]
         assume(np.unique(condensed).size == condensed.size)
-        merges = linkage_merge(dist, clusterers._LINKAGE_NAMES[alg[0]])
+        tree = linkage_merge(dist, clusterers._LINKAGE_NAMES[alg[0]])
         for k in range(1, n + 1):
             part, _ = run_linkage(data, ClustererConfig(alg, k=k, seed=0))
-            assert np.array_equal(part.assignments, cut_merges(merges, n, k)), k
+            assert np.array_equal(part.assignments, cut_merges(tree, k)), k
 
 
 class TestDistanceMatrices:

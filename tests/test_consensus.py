@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from cesel.clusterers import LINKAGE_IDS, Partition, run_algorithm
 from cesel.consensus import (
     CommitteeEntry,
-    Dendrogram,
     PipelineConfig,
     average_linkage,
     cut,
@@ -123,16 +122,15 @@ class TestAverageLinkageCut:
         c = np.ones((6, 6))
         c[:3, 3:] = 0.0
         c[3:, :3] = 0.0
-        dend = average_linkage(c)
-        assert dend.merges[-1][2] == pytest.approx(1.0)  # blocks join at 1
-        labels = cut(dend, 2).assignments
+        tree = average_linkage(c)
+        assert tree[-1, 2] == pytest.approx(1.0)  # blocks join at 1
+        labels = cut(tree, 2).assignments
         assert len(set(labels[:3])) == 1 and len(set(labels[3:])) == 1
         assert labels[0] != labels[3]
 
     def test_all_ones_merges_at_zero(self):
-        dend = average_linkage(np.ones((5, 5)))
-        heights = [m[2] for m in dend.merges]
-        assert np.allclose(heights, 0.0)
+        tree = average_linkage(np.ones((5, 5)))
+        assert np.allclose(tree[:, 2], 0.0)
 
     def test_four_point_hand_trace(self):
         # co-association 0.9/0.8 inside pairs, 0.1..0.4 across
@@ -144,14 +142,14 @@ class TestAverageLinkageCut:
                 [0.2, 0.1, 0.8, 1.0],
             ]
         )
-        dend = average_linkage(c)
-        merges = list(dend.merges)
+        tree = average_linkage(c)
         # brute-force average-linkage trace on D = 1 - C:
         # (0,1) at 0.1; (2,3) at 0.2; clusters join at mean cross D = 0.825
-        assert merges[0][:2] == (0, 1) and merges[0][2] == pytest.approx(0.1)
-        assert merges[1][:2] == (2, 3) and merges[1][2] == pytest.approx(0.2)
-        assert merges[2][2] == pytest.approx(np.mean([0.9, 0.8, 0.7, 0.9]))
-        labels = cut(dend, 2).assignments
+        assert np.array_equal(tree[:, [0, 1, 3]], [[0, 1, 2], [2, 3, 2], [4, 5, 4]])
+        assert tree[0, 2] == pytest.approx(0.1)
+        assert tree[1, 2] == pytest.approx(0.2)
+        assert tree[2, 2] == pytest.approx(np.mean([0.9, 0.8, 0.7, 0.9]))
+        labels = cut(tree, 2).assignments
         assert labels[0] == labels[1] and labels[2] == labels[3]
 
     def test_heights_nondecreasing(self):
@@ -159,17 +157,17 @@ class TestAverageLinkageCut:
         for _ in range(30):
             n = int(rng.integers(3, 15))
             parts = [part(rng.integers(0, 3, n), 3) for _ in range(4)]
-            dend = average_linkage(eac(parts))
-            heights = [m[2] for m in dend.merges]
+            tree = average_linkage(eac(parts))
+            heights = tree[:, 2]
             assert all(b >= a - 1e-12 for a, b in zip(heights, heights[1:]))
-            assert len(heights) == n - 1
+            assert tree.shape == (n - 1, 4)
 
     def test_cut_extremes(self):
         c = eac([part([0, 1, 2, 0])])
-        dend = average_linkage(c)
-        assert cut(dend, 1).k == 1
-        assert len(set(cut(dend, 1).assignments)) == 1
-        singles = cut(dend, 4)
+        tree = average_linkage(c)
+        assert cut(tree, 1).k == 1
+        assert len(set(cut(tree, 1).assignments)) == 1
+        singles = cut(tree, 4)
         assert sorted(singles.assignments) == [0, 1, 2, 3]
 
     def test_cut_always_k_nonempty(self):
@@ -177,21 +175,17 @@ class TestAverageLinkageCut:
         for _ in range(20):
             n = int(rng.integers(4, 20))
             parts = [part(rng.integers(0, 4, n), 4) for _ in range(3)]
-            dend = average_linkage(eac(parts))
+            tree = average_linkage(eac(parts))
             for k in range(1, n + 1):
-                sizes = cut(dend, k).cluster_sizes()
+                sizes = cut(tree, k).cluster_sizes()
                 assert len(sizes) == k and np.all(sizes > 0)
 
     def test_invalid_k(self):
-        dend = average_linkage(np.eye(3))
+        tree = average_linkage(np.eye(3))
         with pytest.raises(InvalidK):
-            cut(dend, 0)
+            cut(tree, 0)
         with pytest.raises(InvalidK):
-            cut(dend, 4)
-
-    def test_dendrogram_merge_count_validated(self):
-        with pytest.raises(ValueError):
-            Dendrogram(5, ((0, 1, 0.0, 2),))
+            cut(tree, 4)
 
 
 def dense(committee, weights, k):
@@ -319,7 +313,7 @@ class TestFuse:
         for k in range(2, 13):
             assert np.array_equal(fuse(committee, weights, k).assignments,
                                   dense(committee, weights, k))
-        assert trees[0] == average_linkage(weac(committee, weights))  # u = n
+        assert np.array_equal(trees[0], average_linkage(weac(committee, weights)))  # u = n
 
     def test_eac_mode_matches_dense_eac(self, monkeypatch):
         fused = []

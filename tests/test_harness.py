@@ -45,6 +45,20 @@ class TestLoadCsv:
             load_csv(path)
         assert "row 3" in str(err.value) and "'a'" in str(err.value)
 
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "-nan", "NA"])
+    def test_nan_cell_stays_missing(self, tmp_path, cell):
+        path = tmp_path / "d.csv"
+        path.write_text(f"a,b\n1,2\n3,{cell}\n5,4\n")
+        assert np.isnan(load_csv(path).raw[1, 1])
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "1e999", "Infinity"])
+    def test_infinite_cell_named(self, tmp_path, cell):
+        path = tmp_path / "d.csv"
+        path.write_text(f"a,b\n1,2\n3,{cell}\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(path)
+        assert "row 3" in str(err.value) and "'b'" in str(err.value)
+
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,b\n1,2\n3,4\n")
