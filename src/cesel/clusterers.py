@@ -337,14 +337,21 @@ def euclidean_matrix(x: np.ndarray) -> np.ndarray:
 def hamming_matrix(x: np.ndarray) -> np.ndarray:
     """Fraction of coordinates differing by more than a small tolerance.
 
-    Counts one coordinate at a time; a count of 0/1 values is exact in any
-    order, so this equals the mean over a stacked (n, n, d) mask.
+    Counts one coordinate at a time in reused n x n buffers; a count of
+    0/1 values is exact in any order, so this equals the mean over a
+    stacked (n, n, d) mask.
     """
     n, d = x.shape
     count = np.zeros((n, n))
-    for j in range(d):
-        count += np.abs(x[:, j, None] - x[None, :, j]) > _HAMMING_TOL
-    return count / d
+    gap = np.empty((n, n))
+    differs = np.empty((n, n), dtype=bool)
+    for col in x.T:
+        np.subtract.outer(col, col, out=gap)
+        np.abs(gap, out=gap)
+        np.greater(gap, _HAMMING_TOL, out=differs)
+        count += differs
+    count /= d
+    return count
 
 
 def cosine_matrix(x: np.ndarray) -> np.ndarray:
@@ -374,7 +381,10 @@ def run_linkage(data: Dataset, cfg: ClustererConfig) -> tuple[Partition, BasicPa
 
     Hamming distances are multiples of 1/d and tie by construction, so
     the ``?LH`` IDs merge on the exact engine of :mod:`cesel._agglo`,
-    whose row-major tie rule then decides the partition. Euclidean and
+    whose row-major tie rule then decides the partition. On continuous
+    features all Hamming distances are 1, and the engine returns its
+    tree for a constant matrix in closed form: a chain whose cuts leave
+    the last k-1 samples, in input order, as singletons. Euclidean and
     cosine IDs merge on scipy's compiled ``linkage`` (Müllner's MST and
     NN-chain algorithms). Either linkage matrix goes to the one cut,
     ``cut_merges``. On tie-free distances both give the same partition

@@ -96,11 +96,21 @@ def _signatures(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     by its smallest sample index. A matrix with no columns has one
     signature.
     """
-    _, first, inverse = np.unique(labels, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    slot = np.empty_like(order)
-    slot[order] = np.arange(len(order))
-    return first[order], slot[inverse.ravel()]
+    n = labels.shape[0]
+    # A stable sort puts equal rows next to each other in sample order, so
+    # each run of equal rows starts at its first sample.
+    order = np.lexsort(labels.T) if labels.shape[1] else np.arange(n)
+    ranked = labels[order]
+    starts = np.ones(n, dtype=bool)
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
+    run = np.cumsum(starts) - 1
+    first = order[starts]
+    by_first = np.argsort(first)
+    slot = np.empty_like(by_first)
+    slot[by_first] = np.arange(len(first))
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = slot[run]
+    return first[by_first], inverse
 
 
 def weac(committee: list[CommitteeEntry], weights: np.ndarray) -> np.ndarray:

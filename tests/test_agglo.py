@@ -4,6 +4,8 @@ The first oracle below is the original engine: at every step it copies
 the active submatrix and takes its row-major first minimum. The cached
 engine must reproduce its linkage matrix exactly (same pairs,
 bit-identical heights) for every method, above all on tie-heavy inputs.
+A matrix with one off-diagonal value takes the engine's closed-form chain
+where that chain is exact; the tests check it against the same oracle.
 The second oracle is the original cut, a Python union-find over the
 merge records; the vectorised cut must label every tree as it does, for
 the engine's trees and scipy's.
@@ -22,7 +24,7 @@ from cesel.errors import InvalidK
 from cesel.harness import load_csv
 
 
-def oracle_linkage_merge(dissimilarity, method):
+def oracle_linkage_merge(dissimilarity, method, sizes=None):
     """Full-scan Lance-Williams merging: O(n^3), ties to the smallest (row, column)."""
     d = np.asarray(dissimilarity, dtype=float).copy()
     n = d.shape[0]
@@ -30,7 +32,7 @@ def oracle_linkage_merge(dissimilarity, method):
 
     active = np.ones(n, dtype=bool)
     node_id = np.arange(n)
-    size = np.ones(n, dtype=int)
+    size = np.ones(n, dtype=int) if sizes is None else np.array(sizes, dtype=int)
     merges = []
 
     for step in range(n - 1):
@@ -180,6 +182,64 @@ def test_sized_average_matches_expanded_unit_merge(u, dim, seed, data):
     for k in range(1, u + 1):
         expanded = cut_merges(sized, k)[group]
         assert _canonical(expanded) == _canonical(cut_merges(unit, k))
+
+
+# Off-diagonal levels j/d: the Hamming distances of d coordinates.
+LEVELS = sorted({j / d for d in range(1, 13) for j in range(d + 1)})
+
+
+def _constant(n, level):
+    d = np.full((n, n), level)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def _expected_chain(n, level, sizes):
+    """(0, 1), (2, n), (3, n+1), ... at one height; sizes are running sums."""
+    left = [0] + list(range(2, n))
+    right = [1] + list(range(n, 2 * n - 2))
+    return np.column_stack([left, right, np.full(n - 1, level), np.cumsum(sizes)[1:]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60), st.sampled_from(LEVELS), st.data())
+def test_constant_matrix_merges_as_the_oracle(n, level, data):
+    d = _constant(n, level)
+    sizes = np.array(data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+    for method in LINKAGE_METHODS:
+        exact_chain = method in ("single", "complete") or level in (0.0, 1.0)
+        for given_sizes in (None, sizes):
+            tree = linkage_merge(d, method, given_sizes)
+            assert np.array_equal(tree, oracle_linkage_merge(d, method, given_sizes))
+            if exact_chain and n > 1:
+                unit = np.ones(n, dtype=int) if given_sizes is None else given_sizes
+                assert np.array_equal(tree, _expected_chain(n, level, unit))
+        if level > 0 and method != "ward" and exact_chain:
+            # The sized tree cuts as the unit merge of its expanded matrix,
+            # where each row's samples sit at distance 0 from each other.
+            group = np.repeat(np.arange(n), sizes)
+            expanded = np.where(group[:, None] == group[None, :], 0.0, level)
+            unit_tree = linkage_merge(expanded, method)
+            assert np.array_equal(unit_tree[len(unit_tree) - len(tree):, 2:], tree[:, 2:])
+            for k in range(1, n + 1):
+                assert np.array_equal(cut_merges(tree, k)[group], cut_merges(unit_tree, k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 40), st.integers(1, 4), st.integers(0, 2**32 - 1), st.data())
+def test_one_shared_coordinate_falls_through(n, dim, seed, data):
+    # Continuous points give an all-ones Hamming matrix; one shared
+    # coordinate lowers one pair to (dim - 1) / dim, and the loop decides.
+    x = np.random.default_rng(seed).normal(size=(n, dim))
+    i, j = sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+    col = data.draw(st.integers(0, dim - 1))
+    x[j, col] = x[i, col]
+    d = hamming_matrix(x)
+    assert np.count_nonzero(d < 1.0) == n + 2
+    for method in LINKAGE_METHODS:
+        tree = linkage_merge(d, method)
+        assert np.array_equal(tree, oracle_linkage_merge(d, method))
+        assert tree[0].tolist() == [i, j, (dim - 1) / dim, 2]
 
 
 def test_rejects_bad_input():

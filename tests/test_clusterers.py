@@ -190,6 +190,16 @@ class TestLinkage:
             assert len(reached) - before == (alg[2] == "H"), alg
         assert sorted(reached) == ["average", "complete", "single", "ward"]
 
+    @pytest.mark.parametrize("alg", [alg for alg in LINKAGE_IDS if alg[2] == "H"])
+    def test_hamming_ids_chain_on_continuous_data(self, alg):
+        # No two half-ring samples share a coordinate, so every Hamming
+        # distance is 1 and each cut splits off the last k-1 samples.
+        data = gen_half_ring(40, 0.05, seed=3)
+        assert np.all(hamming_matrix(data.samples)[~np.eye(40, dtype=bool)] == 1.0)
+        for k in range(1, 41):
+            part, _ = run_linkage(data, ClustererConfig(alg, k=k, seed=0))
+            assert np.array_equal(part.assignments, np.r_[np.zeros(41 - k), np.arange(1, k)]), k
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(3, 40), st.integers(1, 6), st.integers(0, 2**32 - 1),
            st.sampled_from([alg for alg in LINKAGE_IDS if alg[2] != "H"]))

@@ -1,11 +1,14 @@
-"""The fuzzy, Lloyd and co-association loops against their earlier forms.
+"""The fuzzy and Lloyd loops and the signature grouping against their earlier forms.
 
 ``run_fcm`` keeps its state in a transposed (k, n) layout with reused
 buffers, ``_lloyd`` takes every cluster sum from one ``bincount`` per
-coordinate, and ``weac`` accumulates over unique label signatures. Each is
-meant to repeat the arithmetic of the straightforward version exactly. The
-oracles below are those versions, kept verbatim (the FCM loop also counts
-its iterations), and every comparison is ``array_equal``, not a tolerance.
+coordinate, and ``consensus._signatures`` groups equal label rows with a
+stable ``lexsort`` instead of ``np.unique(axis=0)``. Each is meant to
+repeat the result of the straightforward version exactly. The oracles
+below are those versions, kept verbatim (the FCM loop also counts its
+iterations), and every comparison is ``array_equal``, not a tolerance.
+``weac`` is checked against ``eac``: unit weights give ``eac`` itself, and
+other weights scale each entry's vote.
 """
 import warnings
 
@@ -16,7 +19,7 @@ from hypothesis.extra.numpy import arrays
 
 from cesel import clusterers
 from cesel.clusterers import ClustererConfig, Dataset, Partition, run_fcm
-from cesel.consensus import CommitteeEntry, weac
+from cesel.consensus import CommitteeEntry, _signatures, eac, weac
 from cesel.errors import EmptyCommittee, WeightMismatch
 from cesel.harness import gen_blobs, gen_half_ring
 from cesel.independency import BasicParams
@@ -119,16 +122,12 @@ def oracle_fcm(x, k, seed):
     return u, centroids, initial, iterations, labels
 
 
-def oracle_weac(committee, weights):
-    weights = np.asarray(weights, dtype=float)
-    n = len(committee[0].partition)
-    acc = np.zeros((n, n))
-    for entry, w in zip(committee, weights):
-        a = entry.partition.assignments
-        acc += w * (a[:, None] == a[None, :])
-    c = acc / len(committee)
-    np.fill_diagonal(c, 1.0)
-    return c
+def oracle_signatures(labels):
+    _, first, inverse = np.unique(labels, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    slot = np.empty_like(order)
+    slot[order] = np.arange(len(order))
+    return first[order], slot[inverse.ravel()]
 
 
 # --- inputs -------------------------------------------------------------------
@@ -272,6 +271,17 @@ def _committee(label_rows):
 WEIGHT = st.one_of(st.just(0.0), st.floats(0.0, 3.0, allow_nan=False))
 
 
+def _check_weac(committee, weights):
+    """Unit weights give ``eac``; other weights scale each entry's ``eac`` vote."""
+    partitions = [entry.partition for entry in committee]
+    assert np.array_equal(weac(committee, np.ones(len(committee))), eac(partitions))
+    scaled = sum(w * eac([p]) for p, w in zip(partitions, weights)) / len(committee)
+    np.fill_diagonal(scaled, 1.0)
+    got = weac(committee, weights)
+    assert np.array_equal(got, scaled)
+    return got
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_weac_matches_dense_accumulation(data):
@@ -280,8 +290,7 @@ def test_weac_matches_dense_accumulation(data):
     top = data.draw(st.integers(0, 5))
     rows = [data.draw(arrays(np.int64, n, elements=st.integers(0, top))) for _ in range(m)]
     weights = data.draw(arrays(np.float64, m, elements=WEIGHT))
-    committee = _committee(rows)
-    assert np.array_equal(weac(committee, weights), oracle_weac(committee, weights))
+    _check_weac(_committee(rows), weights)
 
 
 @pytest.mark.parametrize("rows, weights", [
@@ -291,9 +300,7 @@ def test_weac_matches_dense_accumulation(data):
     ([np.array([2, 0, 2, 1, 0])], [1.0]),                              # one entry
 ], ids=["one-signature", "all-distinct", "zero-weights", "single-entry"])
 def test_weac_signature_extremes(rows, weights):
-    committee = _committee([np.asarray(r) for r in rows])
-    got = weac(committee, weights)
-    assert np.array_equal(got, oracle_weac(committee, weights))
+    got = _check_weac(_committee([np.asarray(r) for r in rows]), weights)
     assert np.all(np.diag(got) == 1.0)
 
 
@@ -302,3 +309,14 @@ def test_weac_keeps_its_errors():
         weac([], [])
     with pytest.raises(WeightMismatch):
         weac(_committee([np.arange(3)]), [1.0, 2.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.int64, st.tuples(st.integers(0, 40), st.integers(0, 6)),
+              elements=st.integers(0, 3)))
+def test_signatures_match_unique_rows(labels):
+    first, inverse = _signatures(labels)
+    want_first, want_inverse = oracle_signatures(labels)
+    for got, want in ((first, want_first), (inverse, want_inverse)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
