@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import EmptyGraph, StructureError, UnknownSymbol
+from .errors import DataFileError, EmptyGraph, StructureError, UnknownSymbol
 
 _SYMBOL_RE = re.compile(r"^[A-Z]+\(\d+\)$")
 
@@ -317,9 +317,16 @@ def export_dot(graph: IndependencyGraph) -> str:
 
 
 def load_script(path: str | Path, scmt: Scmt) -> CailScript:
-    """Parse a ``.cail`` file; the algorithm ID is the uppercased file stem."""
+    """Parse a ``.cail`` file; the algorithm ID is the uppercased file stem.
+
+    A file that is not UTF-8 text raises :class:`DataFileError`.
+    """
     path = Path(path)
-    return parse_cail(path.read_text(), scmt, name=path.stem.upper())
+    try:
+        source = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFileError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    return parse_cail(source, scmt, name=path.stem.upper())
 
 
 def script_to_array(source_text: str, scmt: Scmt, name: str = "script") -> GraphArray:

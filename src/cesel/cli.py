@@ -41,10 +41,22 @@ from .harness import (
 from .independency import build_aidm, save_aidm_csv
 
 
-# A directory given for a file (or a file for a directory) is a usage error
-# caught while parsing, before any work starts.
+class _OutputFile(click.Path):
+    """A file to write, inside a directory that exists."""
+
+    def convert(self, value, param, ctx):
+        path = super().convert(value, param, ctx)
+        parent = Path(path).parent
+        if not parent.is_dir():
+            self.fail(f"directory {str(parent)!r} does not exist", param, ctx)
+        return path
+
+
+# A directory given for a file (or a file for a directory), or an output file
+# in a missing directory, is a usage error caught while parsing, before any
+# work starts.
 _INPUT_FILE = click.Path(exists=True, dir_okay=False)
-_OUTPUT_FILE = click.Path(dir_okay=False)
+_OUTPUT_FILE = _OutputFile(dir_okay=False)
 
 
 @click.group()

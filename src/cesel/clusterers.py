@@ -417,12 +417,15 @@ def run_linkage(data: Dataset, cfg: ClustererConfig) -> tuple[Partition, BasicPa
 def run_spectral_sparse(data: Dataset, cfg: ClustererConfig) -> tuple[Partition, BasicParams]:
     """Spectral clustering on a t-nearest-neighbour similarity graph.
 
-    Builds the symmetrized sparse graph, applies a Gaussian kernel
-    (bandwidth = median pairwise distance), forms the degree-normalized
-    similarity matrix, embeds samples into its top-k eigenvectors by
-    magnitude, row-normalizes, and clusters the embedding with the seeded
-    assignment loop. Starting parameters are the initial centroids in the
-    embedded space.
+    Each sample links to its t = min(10, n-1) nearest other samples,
+    ranked by distance with ties going to the smaller index; the graph is
+    the symmetric union of those links, with no self-loops. Linked pairs
+    get a Gaussian kernel whose bandwidth is the median distance over all
+    pairs. The graph is held in a dense n x n matrix: the degree-normalized
+    similarity goes to dense ``eigh``, the O(n^3) step, and the samples are
+    embedded into its top-k eigenvectors by magnitude, row-normalized and
+    clustered with the seeded assignment loop. Starting parameters are the
+    initial centroids in the embedded space.
     """
     n, k = data.n, cfg.k
     if k > n:
@@ -430,20 +433,24 @@ def run_spectral_sparse(data: Dataset, cfg: ClustererConfig) -> tuple[Partition,
     t = min(_MAX_NEIGHBORS, n - 1)
 
     dist = euclidean_matrix(data.samples)
-    off_diag = dist[~np.eye(n, dtype=bool)]
-    sigma = float(np.median(off_diag))
+    # euclidean_matrix is exactly symmetric, so each pair once has the median
+    # of the off-diagonal entries
+    sigma = float(np.median(dist[np.triu_indices(n, 1)]))
     if sigma <= 0:
         sigma = 1.0
 
-    order = np.argsort(dist, axis=1, kind="stable")
+    # With its diagonal at -1, a stable sort ranks each sample first in its
+    # own row, then the others by (distance, index): the rest of the row is
+    # the sample's neighbours, an (n, t) edge list.
+    rows = np.arange(n)
+    ranked = dist.copy()
+    ranked[rows, rows] = -1.0
+    nearest = np.argsort(ranked, axis=1, kind="stable")[:, 1:t + 1]
     keep = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        neighbours = order[i][order[i] != i][:t]
-        keep[i, neighbours] = True
-    keep |= keep.T  # symmetric union graph
+    keep[rows[:, None], nearest] = True
+    keep |= keep.T  # symmetric union graph, no self-loops
 
     similarity = np.where(keep, np.exp(-(dist**2) / (2.0 * sigma**2)), 0.0)
-    np.fill_diagonal(similarity, 0.0)
     degree = similarity.sum(axis=1)
     if np.any(degree <= 0):
         raise DegenerateSpectrum("graph has an isolated vertex")

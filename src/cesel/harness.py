@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .clusterers import ClustererConfig, Dataset, Partition, preprocess, run_algorithm
 from .consensus import PipelineConfig, run_ces
@@ -33,11 +32,15 @@ def load_csv(path: str | Path, label_column: str | None = None) -> Dataset:
     its values may be arbitrary strings and are encoded by first
     appearance. Any other non-numeric or infinite cell raises
     :class:`ParseError` naming the offending row and column, as does a
-    file with fewer than two data rows or no feature column.
+    file with fewer than two data rows or no feature column, or one that
+    is not UTF-8 text. A leading byte-order mark is dropped.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     if len(rows) < 3:
         raise ParseError(f"{path}: need a header row and at least two data rows")
     header = [h.strip() for h in rows[0]]
@@ -90,10 +93,13 @@ def gen_half_ring(n: int, noise: float, seed: int) -> Dataset:
     A small upper half-ring sits inside a larger, horizontally shifted
     one, so no straight cut separates the classes but a clear gap does.
     ``noise`` is the standard deviation of Gaussian jitter around the
-    arcs; zero puts the points exactly on them.
+    arcs; zero puts the points exactly on them. A negative or non-finite
+    ``noise`` raises ``ValueError``.
     """
     if n % 2 != 0 or n < 4:
         raise ValueError("sample count must be even and >= 4")
+    if not 0.0 <= noise < np.inf:
+        raise ValueError(f"noise must be finite and >= 0, got {noise}")
     half = n // 2
     theta = np.linspace(0.0, np.pi, half)
     inner = np.column_stack([np.cos(theta), np.sin(theta)])
@@ -125,6 +131,10 @@ def accuracy(pred: Partition, truth) -> float:
     classes simply stay unmatched), and returns matched samples over n
     as a percentage.
     """
+    # Imported on first use: scipy.optimize takes ~0.5 s to load, which
+    # commands and runs that score no accuracy need not pay.
+    from scipy.optimize import linear_sum_assignment
+
     truth = np.asarray(truth, dtype=int)
     if len(pred) != truth.size:
         raise LengthMismatch(f"{len(pred)} predictions vs {truth.size} labels")

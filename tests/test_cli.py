@@ -1,9 +1,14 @@
 """Command-line surface: subcommands, outputs, exit codes."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cesel
 from cesel import assets
 from cesel.cli import main
 from cesel.harness import gen_half_ring, load_csv
@@ -121,6 +126,12 @@ def test_sweep_dt_command(ring_csv, tmp_path):
     assert len(rows) == 2
 
 
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(cesel.__file__).parents[1]))
+    code = "import sys, cesel.cli; sys.exit('scipy.optimize' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 class TestExitCodes:
     def test_usage_error_is_1(self, capsys):
         assert main(["run", "--k", "3"]) == 1  # missing --data
@@ -132,10 +143,11 @@ class TestExitCodes:
         ("a,b\n1,2\n", []),
         ("lab\nx\ny\n", ["--label", "lab"]),
         ("a,b\n1,inf\n2,3\n", []),
-    ], ids=["non-numeric", "one-row", "label-only", "infinite"])
+        ("a,b\n1,caf\xe9\n2,3\n", []),
+    ], ids=["non-numeric", "one-row", "label-only", "infinite", "not-utf8"])
     def test_data_error_is_2(self, tmp_path, capsys, text, flags):
         bad = tmp_path / "bad.csv"
-        bad.write_text(text)
+        bad.write_text(text, encoding="latin-1")
         rc = main(["run", "--data", str(bad), "--k", "2", *flags])
         err = capsys.readouterr().err
         assert rc == 2
@@ -251,16 +263,27 @@ class TestExitCodes:
         assert err.startswith("usage error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("noise", ["-0.5", "nan", "inf"])
+    def test_gen_data_bad_noise_is_usage_error(self, tmp_path, noise, capsys):
+        out = tmp_path / "ring.csv"
+        rc = main(["gen-data", "--noise", noise, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert "noise" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("source", [
         "begin R(1) BOGUS(9) end\n",
         "begin R(1) while F(1)\n",
         "begin end\n",
-    ], ids=["unknown-symbol", "unclosed-block", "no-symbols"])
+        "begin R(1) caf\xe9 end\n",
+    ], ids=["unknown-symbol", "unclosed-block", "no-symbols", "not-utf8"])
     @pytest.mark.parametrize("command", ["cail", "aidm"])
     def test_malformed_script_is_data_error(self, tmp_path, source, command, capsys):
         scripts = tmp_path / "scripts"
         scripts.mkdir()
-        (scripts / "bad.cail").write_text(source)
+        (scripts / "bad.cail").write_text(source, encoding="latin-1")
         if command == "cail":
             args = ["cail", str(scripts / "bad.cail")]
         else:
@@ -333,6 +356,33 @@ class TestExitCodes:
         assert err.startswith("usage error: ") and err.count("\n") == 1
         assert "is a directory" in err or "is a file" in err
         assert not (tmp_path / "new.out").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["run", "--data", "CSV", "--k", "2", "--out", "MISSING"],
+        ["perturb", "--data", "CSV", "--mode", "noise", "--rate", "0.1", "--out", "MISSING"],
+        ["sweep-dt", "--data", "CSV", "--k", "2", "--out", "MISSING"],
+        ["gen-data", "--out", "MISSING"],
+        ["cail", "SCRIPT", "--dot", "MISSING"],
+        ["aidm", "--out", "MISSING"],
+    ], ids=["run-out", "perturb-out", "sweep-out", "gen-data-out", "cail-dot", "aidm-out"])
+    def test_output_in_missing_directory_is_usage_error_before_any_work(
+        self, ring_csv, tmp_path, args, no_candidates, monkeypatch, capsys
+    ):
+        def refuse(*a, **kw):
+            raise AssertionError("work started before the output path was checked")
+
+        for name in ("load_csv", "load_script", "gen_half_ring", "_symbol_table", "run_ces"):
+            monkeypatch.setattr(f"cesel.cli.{name}", refuse)
+        script = tmp_path / "k.cail"
+        script.write_text("begin R(1) end\n")
+        missing = tmp_path / "missing"
+        paths = {"CSV": ring_csv, "SCRIPT": str(script), "MISSING": str(missing / "out")}
+        rc = main([paths.get(a, a) for a in args])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert "does not exist" in err and str(missing) in err
+        assert not missing.exists()
 
     def test_aidm_directory_is_data_error_before_any_candidate(
         self, iris_path, tmp_path, no_candidates, capsys

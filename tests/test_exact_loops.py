@@ -1,16 +1,21 @@
-"""The fuzzy and Lloyd loops and the signature grouping against their earlier forms.
+"""The fuzzy and Lloyd loops, the spectral graph and the signature grouping
+against their earlier forms.
 
 ``run_fcm`` keeps its state in a transposed (k, n) layout with reused
 buffers, ``_lloyd`` takes every cluster sum from one ``bincount`` per
-coordinate, and ``consensus._signatures`` groups equal label rows with a
-stable ``lexsort`` instead of ``np.unique(axis=0)``. Each is meant to
-repeat the result of the straightforward version exactly. The oracles
-below are those versions, kept verbatim (the FCM loop also counts its
-iterations), and every comparison is ``array_equal``, not a tolerance.
+coordinate, ``run_spectral_sparse`` ranks all neighbours with one stable
+sort and takes its bandwidth from one triangle of the distance matrix, and
+``consensus._signatures`` groups equal label rows with a stable
+``lexsort`` instead of ``np.unique(axis=0)``. Each is meant to repeat the
+result of the straightforward version exactly. The oracles below are
+those versions, kept verbatim (the FCM loop also counts its iterations,
+and the spectral one reads the module's helpers and constants), and
+every comparison is ``array_equal``, not a tolerance.
 ``weac`` is checked against ``eac``: unit weights give ``eac`` itself, and
 other weights scale each entry's vote.
 """
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,9 +23,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cesel import clusterers
-from cesel.clusterers import ClustererConfig, Dataset, Partition, run_fcm
+from cesel.clusterers import (ClustererConfig, Dataset, Partition, run_fcm,
+                              run_spectral_sparse)
 from cesel.consensus import CommitteeEntry, _signatures, eac, weac
-from cesel.errors import EmptyCommittee, WeightMismatch
+from cesel.errors import DegenerateSpectrum, EmptyCommittee, InvalidK, WeightMismatch
 from cesel.harness import gen_blobs, gen_half_ring
 from cesel.independency import BasicParams
 
@@ -120,6 +126,46 @@ def oracle_fcm(x, k, seed):
     labels = np.argmax(u, axis=1)
     _repair_empty(labels, x, centroids.copy(), k)
     return u, centroids, initial, iterations, labels
+
+
+def oracle_spectral_sparse(data, cfg):
+    n, k = data.n, cfg.k
+    if k > n:
+        raise InvalidK(f"k={cfg.k} exceeds sample count {n}")
+    t = min(clusterers._MAX_NEIGHBORS, n - 1)
+
+    dist = clusterers.euclidean_matrix(data.samples)
+    off_diag = dist[~np.eye(n, dtype=bool)]
+    sigma = float(np.median(off_diag))
+    if sigma <= 0:
+        sigma = 1.0
+
+    order = np.argsort(dist, axis=1, kind="stable")
+    keep = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        neighbours = order[i][order[i] != i][:t]
+        keep[i, neighbours] = True
+    keep |= keep.T  # symmetric union graph
+
+    similarity = np.where(keep, np.exp(-(dist**2) / (2.0 * sigma**2)), 0.0)
+    np.fill_diagonal(similarity, 0.0)
+    degree = similarity.sum(axis=1)
+    if np.any(degree <= 0):
+        raise DegenerateSpectrum("graph has an isolated vertex")
+    inv_sqrt = 1.0 / np.sqrt(degree)
+    laplacian_like = similarity * inv_sqrt[:, None] * inv_sqrt[None, :]
+
+    eigvals, eigvecs = np.linalg.eigh(laplacian_like)
+    top = np.argsort(-np.abs(eigvals), kind="stable")[:k]
+    embedding = eigvecs[:, top]
+    if not np.isfinite(embedding).all() or embedding.shape[1] < k:
+        raise DegenerateSpectrum(f"fewer than {k} usable eigenvectors")
+    row_norm = np.linalg.norm(embedding, axis=1, keepdims=True)
+    embedding = embedding / np.where(row_norm > 0, row_norm, 1.0)
+
+    rng = np.random.default_rng(cfg.seed)
+    labels, initial = clusterers._lloyd(embedding, k, rng)
+    return Partition(labels, k), BasicParams(cfg.algorithm_id, initial)
 
 
 def oracle_signatures(labels):
@@ -256,6 +302,43 @@ def test_cluster_means_match_per_cluster_mean(data):
     sizes = np.bincount(labels, minlength=k)
     expected = np.array([x[labels == c].mean(axis=0) for c in range(k)])
     assert np.array_equal(clusterers._cluster_means(x, labels, sizes), expected)
+
+
+# --- sparse spectral ---------------------------------------------------------------
+
+# A coarse grid, so distances tie and points repeat, or continuous values
+# (on a 1e-8 grid, so the squared bandwidth cannot underflow to zero).
+GRID = st.integers(-3, 3).map(lambda v: v / 2)
+CONTINUOUS = st.integers(-10**9, 10**9).map(lambda v: v / 1e8)
+
+
+def _spectral_outcome(run, data, cfg):
+    try:
+        partition, params = run(data, cfg)
+    except DegenerateSpectrum as exc:
+        return str(exc)
+    return partition.assignments, params.rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_spectral_sparse_matches_earlier_graph(data):
+    n = data.draw(st.integers(2, 40))
+    d = data.draw(st.integers(1, 4))
+    coord = data.draw(st.sampled_from([GRID, CONTINUOUS]))
+    dataset = _dataset(data.draw(arrays(np.float64, (n, d), elements=coord)))
+    cfg = ClustererConfig("SPS", data.draw(st.integers(1, min(5, n))),
+                          data.draw(st.integers(0, 2**32 - 1)))
+    for degree in (clusterers._MAX_NEIGHBORS, n - 1):
+        with mock.patch.object(clusterers, "_MAX_NEIGHBORS", degree):
+            got = _spectral_outcome(run_spectral_sparse, dataset, cfg)
+            want = _spectral_outcome(oracle_spectral_sparse, dataset, cfg)
+        assert type(got) is type(want)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
 
 
 # --- weac ------------------------------------------------------------------------

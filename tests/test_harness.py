@@ -77,6 +77,13 @@ class TestLoadCsv:
         with pytest.raises(ParseError):
             load_csv(path)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("species,b\nx,1\ny,2\nx,3\n", encoding="utf-8-sig")
+        ds = load_csv(path, label_column="species")
+        assert ds.feature_names == ("b",)
+        assert np.array_equal(ds.labels, [0, 1, 0])
+
 
 class TestGenHalfRing:
     def test_dimensions_and_classes(self):

@@ -60,7 +60,10 @@ def test_sq_distances_match_broadcast_sum(x, data):
 @given(x=points(max_rows=16))
 def test_euclidean_matrix_matches_broadcast_sum(x):
     expected = np.sqrt(np.maximum(oracle_sq_distances(x, x), 0.0))
-    assert np.array_equal(euclidean_matrix(x), expected)
+    d = euclidean_matrix(x)
+    assert np.array_equal(d, expected)
+    # the spectral bandwidth takes its median over one triangle
+    assert np.array_equal(d, d.T)
 
 
 # squared distances straddling the zero test's 1e-8, plus ordinary ones; NaN
