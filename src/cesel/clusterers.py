@@ -8,7 +8,7 @@ runs are flagged fully dependent.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,6 +39,9 @@ class Dataset:
     raw: np.ndarray                        # (n, d) float, NaN = missing
     labels: np.ndarray | None = None       # (n,) int class labels, evaluation only
     feature_names: tuple[str, ...] = ()
+    # k -> read-only SPS embedding, or the message of its DegenerateSpectrum;
+    # None unless the dataset came from with_memo()
+    _embeddings: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.samples.ndim != 2 or self.samples.shape[0] < 2 or self.samples.shape[1] < 1:
@@ -53,6 +56,15 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.samples.shape[1]
+
+    def with_memo(self) -> Dataset:
+        """A copy that computes each k's spectral embedding once.
+
+        SPS runs on the copy share one embedding per k and differ only in
+        their seeded assignment loop (see :func:`run_spectral_sparse`).
+        The memo lives as long as the copy; this dataset is left as it is.
+        """
+        return replace(self, _embeddings={})
 
 
 @dataclass(frozen=True)
@@ -414,6 +426,66 @@ def run_linkage(data: Dataset, cfg: ClustererConfig) -> tuple[Partition, BasicPa
 
 # --- sparse spectral ----------------------------------------------------------
 
+def _nearest(dist: np.ndarray, t: int) -> np.ndarray:
+    """Each sample's t nearest other samples, as an n x n boolean mask.
+
+    Neighbours rank by (distance, index). With its diagonal at -1, a
+    sample's t+1 smallest entries are itself and its t neighbours: one
+    partition finds the (t+1)-th smallest value of each row, every entry
+    below it is taken, and entries equal to it fill the remaining places
+    in index order, as a stable sort of the row would take them.
+    """
+    rows = np.arange(dist.shape[0])
+    ranked = dist.copy()
+    ranked[rows, rows] = -1.0
+    kth = np.partition(ranked, t, axis=1)[:, [t]]
+    keep = ranked < kth
+    tie = ranked == kth
+    need = t + 1 - keep.sum(axis=1, keepdims=True)
+    keep |= tie & (np.cumsum(tie, axis=1) <= need)
+    keep[rows, rows] = False
+    return keep
+
+
+def _spectral_embedding(x: np.ndarray, k: int) -> np.ndarray:
+    """The seed-free part of :func:`run_spectral_sparse`: its (n, k) embedding.
+
+    Raises :class:`DegenerateSpectrum` on an isolated vertex or fewer than
+    k usable eigenvectors. The similarity is built in the distance
+    matrix's own buffer, with the arithmetic of
+    ``np.where(keep, np.exp(-(dist**2) / (2 * sigma**2)), 0.0)``.
+    """
+    n = x.shape[0]
+    dist = euclidean_matrix(x)
+    # euclidean_matrix is exactly symmetric, so each pair once has the median
+    # of the off-diagonal entries
+    sigma = float(np.median(dist[np.triu_indices(n, 1)]))
+    if sigma <= 0:
+        sigma = 1.0
+    keep = _nearest(dist, min(_MAX_NEIGHBORS, n - 1))
+    keep |= keep.T  # symmetric union graph, no self-loops
+
+    similarity = np.square(dist, out=dist)
+    np.negative(similarity, out=similarity)
+    similarity /= 2.0 * sigma**2
+    np.exp(similarity, out=similarity)
+    similarity[~keep] = 0.0
+    degree = similarity.sum(axis=1)
+    if np.any(degree <= 0):
+        raise DegenerateSpectrum("graph has an isolated vertex")
+    inv_sqrt = 1.0 / np.sqrt(degree)
+    similarity *= inv_sqrt[:, None]
+    similarity *= inv_sqrt[None, :]
+
+    eigvals, eigvecs = np.linalg.eigh(similarity)
+    top = np.argsort(-np.abs(eigvals), kind="stable")[:k]
+    embedding = eigvecs[:, top]
+    if not np.isfinite(embedding).all() or embedding.shape[1] < k:
+        raise DegenerateSpectrum(f"fewer than {k} usable eigenvectors")
+    row_norm = np.linalg.norm(embedding, axis=1, keepdims=True)
+    return embedding / np.where(row_norm > 0, row_norm, 1.0)
+
+
 def run_spectral_sparse(data: Dataset, cfg: ClustererConfig) -> tuple[Partition, BasicParams]:
     """Spectral clustering on a t-nearest-neighbour similarity graph.
 
@@ -426,44 +498,25 @@ def run_spectral_sparse(data: Dataset, cfg: ClustererConfig) -> tuple[Partition,
     embedded into its top-k eigenvectors by magnitude, row-normalized and
     clustered with the seeded assignment loop. Starting parameters are the
     initial centroids in the embedded space.
+
+    Only the assignment loop reads the seed. On a dataset from
+    :meth:`Dataset.with_memo` the embedding, or the degenerate spectrum's
+    message, is computed once per k and kept read-only for later runs at
+    that k; the partition is the same either way.
     """
     n, k = data.n, cfg.k
     if k > n:
         raise InvalidK(f"k={cfg.k} exceeds sample count {n}")
-    t = min(_MAX_NEIGHBORS, n - 1)
-
-    dist = euclidean_matrix(data.samples)
-    # euclidean_matrix is exactly symmetric, so each pair once has the median
-    # of the off-diagonal entries
-    sigma = float(np.median(dist[np.triu_indices(n, 1)]))
-    if sigma <= 0:
-        sigma = 1.0
-
-    # With its diagonal at -1, a stable sort ranks each sample first in its
-    # own row, then the others by (distance, index): the rest of the row is
-    # the sample's neighbours, an (n, t) edge list.
-    rows = np.arange(n)
-    ranked = dist.copy()
-    ranked[rows, rows] = -1.0
-    nearest = np.argsort(ranked, axis=1, kind="stable")[:, 1:t + 1]
-    keep = np.zeros((n, n), dtype=bool)
-    keep[rows[:, None], nearest] = True
-    keep |= keep.T  # symmetric union graph, no self-loops
-
-    similarity = np.where(keep, np.exp(-(dist**2) / (2.0 * sigma**2)), 0.0)
-    degree = similarity.sum(axis=1)
-    if np.any(degree <= 0):
-        raise DegenerateSpectrum("graph has an isolated vertex")
-    inv_sqrt = 1.0 / np.sqrt(degree)
-    laplacian_like = similarity * inv_sqrt[:, None] * inv_sqrt[None, :]
-
-    eigvals, eigvecs = np.linalg.eigh(laplacian_like)
-    top = np.argsort(-np.abs(eigvals), kind="stable")[:k]
-    embedding = eigvecs[:, top]
-    if not np.isfinite(embedding).all() or embedding.shape[1] < k:
-        raise DegenerateSpectrum(f"fewer than {k} usable eigenvectors")
-    row_norm = np.linalg.norm(embedding, axis=1, keepdims=True)
-    embedding = embedding / np.where(row_norm > 0, row_norm, 1.0)
+    memo = {} if data._embeddings is None else data._embeddings
+    if k not in memo:
+        try:
+            memo[k] = _spectral_embedding(data.samples, k)
+            memo[k].setflags(write=False)
+        except DegenerateSpectrum as exc:
+            memo[k] = str(exc)
+    embedding = memo[k]
+    if isinstance(embedding, str):
+        raise DegenerateSpectrum(embedding)
 
     rng = np.random.default_rng(cfg.seed)
     labels, initial = _lloyd(embedding, k, rng)

@@ -297,7 +297,10 @@ def run_ces(data: Dataset, cfg: PipelineConfig) -> tuple[Partition, RunReport]:
     the trace with its error and not admitted.
 
     Linkage runs ignore the seed, so each (algorithm, k) is clustered
-    once per call and its result reused by later candidates.
+    once per call and its result reused by later candidates. SPS reads
+    the seed only in its assignment loop: the clusterers get a copy of
+    ``data`` from :meth:`Dataset.with_memo`, so each k's spectral
+    embedding is computed once per call. ``data`` itself is left as it is.
     """
     t0 = time.perf_counter()
     if cfg.k_final > data.n:
@@ -309,6 +312,7 @@ def run_ces(data: Dataset, cfg: PipelineConfig) -> tuple[Partition, RunReport]:
             raise DataFileError(
                 f"AIDM {cfg.aidm_source!r} lacks roster algorithm(s) {', '.join(missing)}"
             )
+    run_data = data.with_memo()
     committee: list[CommitteeEntry] = []
     trace: list[dict] = []
     linkage_runs: dict[tuple[str, int], tuple[Partition, BasicParams]] = {}
@@ -322,7 +326,7 @@ def run_ces(data: Dataset, cfg: PipelineConfig) -> tuple[Partition, RunReport]:
         trace.append(attempt)
         key = (run_cfg.algorithm_id, run_cfg.k)
         try:
-            partition, params = linkage_runs.get(key) or run_algorithm(data, run_cfg)
+            partition, params = linkage_runs.get(key) or run_algorithm(run_data, run_cfg)
         except DegenerateSpectrum as exc:
             attempt.update(diversity=None, admitted=False,
                            error=type(exc).__name__, message=str(exc))

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cesel.clusterers import LINKAGE_IDS, Partition, run_algorithm
+from cesel import clusterers
+from cesel.clusterers import LINKAGE_IDS, Dataset, Partition, run_algorithm
 from cesel.consensus import (
     CommitteeEntry,
     PipelineConfig,
@@ -438,6 +439,37 @@ class TestRunCes:
 
 
 RING = gen_half_ring(60, 0.05, seed=11)
+# Candidate k in [2, 4]. SPS_CFG draws SPS at k = 2, 2, 2, 4, 3 in its 14
+# attempts; FULL_CFG, the whole roster, at k = 3, 2, 2, 3, 3 in its 23.
+SPS_CFG = PipelineConfig(k_final=2, d_threshold=0.0, committee_target=14, max_attempts=14,
+                         seed=3, roster=("K", "SPS"), vary_k=True)
+FULL_CFG = PipelineConfig(k_final=2, d_threshold=0.35, committee_target=8,
+                          max_attempts=32, seed=7, vary_k=True)
+
+
+def _deterministic(report):
+    doc = report.to_dict()
+    doc.pop("wall_time_ms")
+    return doc
+
+
+def _without_memo(data, cfg, monkeypatch):
+    """run_ces with every SPS run computing its own embedding."""
+    with monkeypatch.context() as m:
+        m.setattr(Dataset, "with_memo", lambda self: self)
+        return run_ces(data, cfg)
+
+
+def _recording(monkeypatch):
+    """Record the dataset and config of every candidate run."""
+    seen = []
+
+    def recording(data, cfg):
+        seen.append((data, cfg))
+        return run_algorithm(data, cfg)
+
+    monkeypatch.setattr("cesel.consensus.run_algorithm", recording)
+    return seen
 
 
 class TestCandidateRuns:
@@ -478,3 +510,65 @@ class TestCandidateRuns:
         assert all(e["algorithm"] == "K" for e in report.per_entry)
         ok = [t for t in report.trace if "error" not in t]
         assert all(set(t) == {"run_index", "algorithm", "diversity", "admitted"} for t in ok)
+
+    def test_spectral_embedding_computed_once_per_k(self, monkeypatch):
+        computed = []
+        embed = clusterers._spectral_embedding
+
+        def counting(x, k):
+            computed.append(k)
+            return embed(x, k)
+
+        monkeypatch.setattr(clusterers, "_spectral_embedding", counting)
+        seen = _recording(monkeypatch)
+        run_ces(RING, SPS_CFG)
+        drawn = [cfg.k for _, cfg in seen if cfg.algorithm_id == "SPS"]
+        assert sorted(computed) == sorted(set(drawn))
+        assert len(drawn) > len(computed)  # the memo was hit
+
+    @pytest.mark.parametrize("cfg", [SPS_CFG, FULL_CFG])
+    def test_memo_leaves_reports_unchanged(self, cfg, monkeypatch):
+        _, want = _without_memo(RING, cfg, monkeypatch)
+        _, got = run_ces(RING, cfg)
+        assert _deterministic(got) == _deterministic(want)
+
+    def test_each_call_gets_its_own_memo(self, monkeypatch):
+        other = gen_half_ring(RING.n, 0.05, seed=12)
+        samples = RING.samples.copy()
+        want = [_deterministic(_without_memo(d, SPS_CFG, monkeypatch)[1]) for d in (RING, other)]
+        seen = _recording(monkeypatch)
+        got = [_deterministic(run_ces(d, SPS_CFG)[1]) for d in (RING, other)]
+        assert got == want
+        first, second = (d for d, _ in seen[:1] + seen[-1:])
+        assert first._embeddings is not second._embeddings
+        assert all(d is not RING and d is not other for d, _ in seen)
+        assert RING._embeddings is None and np.array_equal(RING.samples, samples)
+
+    def test_cached_embeddings_are_read_only(self, monkeypatch):
+        seen = _recording(monkeypatch)
+        run_ces(RING, SPS_CFG)
+        memo = seen[0][0]._embeddings
+        assert memo
+        for k, embedding in memo.items():
+            assert embedding.shape == (RING.n, k)
+            assert not embedding.flags.writeable
+            with pytest.raises(ValueError):
+                embedding[0, 0] = 0.0
+
+    def test_degenerate_spectrum_is_remembered(self, monkeypatch):
+        computed = []
+
+        def degenerate(x, k):
+            computed.append(k)
+            raise DegenerateSpectrum(f"fewer than {k} usable eigenvectors")
+
+        monkeypatch.setattr(clusterers, "_spectral_embedding", degenerate)
+        _, want = _without_memo(RING, SPS_CFG, monkeypatch)
+        drawn = len(computed)
+        computed.clear()
+        _, got = run_ces(RING, SPS_CFG)
+        assert got.trace == want.trace
+        failed = [t for t in got.trace if "error" in t]
+        assert len(failed) == drawn > len(computed) == len(set(computed))
+        assert {t["message"] for t in failed} == {
+            f"fewer than {k} usable eigenvectors" for k in computed}

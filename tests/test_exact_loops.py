@@ -3,8 +3,9 @@ against their earlier forms.
 
 ``run_fcm`` keeps its state in a transposed (k, n) layout with reused
 buffers, ``_lloyd`` takes every cluster sum from one ``bincount`` per
-coordinate, ``run_spectral_sparse`` ranks all neighbours with one stable
-sort and takes its bandwidth from one triangle of the distance matrix, and
+coordinate, ``run_spectral_sparse`` picks its neighbours with one partition
+per row, takes its bandwidth from one triangle of the distance matrix and
+builds the similarity in the distance matrix's buffer, and
 ``consensus._signatures`` groups equal label rows with a stable
 ``lexsort`` instead of ``np.unique(axis=0)``. Each is meant to repeat the
 result of the straightforward version exactly. The oracles below are
