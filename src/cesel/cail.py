@@ -73,9 +73,13 @@ class Scmt:
 
 
 def load_scmt(path: str | Path) -> Scmt:
-    """Read a tab-separated (symbol, description) file; ``#`` starts a comment."""
+    """Read a tab-separated (symbol, description) UTF-8 file; ``#`` starts a comment."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"not UTF-8 text (byte {exc.start})") from None
     entries: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -292,19 +296,12 @@ def to_graph_array(graph: IndependencyGraph) -> GraphArray:
 
 def export_dot(graph: IndependencyGraph) -> str:
     """Render the graph in DOT format, symbol lists as edge labels."""
-    names: list[str] = []
-    counter = 0
-    for i, kind in enumerate(graph.nodes):
-        if kind is NodeKind.ENTRY:
-            names.append("entry")
-        elif kind is NodeKind.EXIT:
-            names.append("exit")
-        else:
-            counter += 1
-            names.append(f"n{counter}")
+    ends = {NodeKind.ENTRY: "entry", NodeKind.EXIT: "exit"}
+    inner = iter(range(1, len(graph.nodes) + 1))  # n1, n2, ... for the other nodes
+    names = [ends[kind] if kind in ends else f"n{next(inner)}" for kind in graph.nodes]
     lines = [f'digraph "{graph.name}" {{', "  rankdir=LR;"]
     for name, kind in zip(names, graph.nodes):
-        shape = "doublecircle" if kind in (NodeKind.ENTRY, NodeKind.EXIT) else "circle"
+        shape = "doublecircle" if kind in ends else "circle"
         lines.append(f"  {name} [shape={shape}];")
     for e in graph.edges:
         if e.symbols:

@@ -108,7 +108,7 @@ def run(data, label, k, dt, committee, attempts, seed, aidm, consensus_mode, ros
         click.echo(f"accuracy: {accuracy(partition, dataset.labels):.2f}%")
     click.echo(f"committee size: {report.n_ce} (attempts: {report.attempts})")
     if out:
-        Path(out).write_text(report.to_json(indent=2) + "\n")
+        Path(out).write_text(report.to_json(indent=2) + "\n", encoding="utf-8")
         click.echo(f"report written to {out}")
     else:
         click.echo(report.to_json())
@@ -178,7 +178,7 @@ def cail(script, scmt_path, dot_out):
     for cell in array.cells:
         click.echo("  [" + ", ".join(cell) + "]")
     if dot_out:
-        Path(dot_out).write_text(export_dot(graph))
+        Path(dot_out).write_text(export_dot(graph), encoding="utf-8")
         click.echo(f"graph written to {dot_out}")
 
 
@@ -241,7 +241,7 @@ def sweep_dt_cmd(data, label, k, dts, committee, attempts, seed, reps, out):
     rows = sweep_dt(dataset, configs[0], thresholds, repetitions=reps)
     text = json.dumps(rows, indent=2)
     if out:
-        Path(out).write_text(text + "\n")
+        Path(out).write_text(text + "\n", encoding="utf-8")
         click.echo(f"sweep written to {out}")
     else:
         click.echo(text)
@@ -249,7 +249,7 @@ def sweep_dt_cmd(data, label, k, dts, committee, attempts, seed, reps, out):
 
 def _write_dataset_csv(dataset: Dataset, out: str, raw: bool = True) -> None:
     matrix = dataset.raw if raw else dataset.samples
-    with open(out, "w", newline="") as fh:
+    with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         names = list(dataset.feature_names) or [f"f{i}" for i in range(dataset.d)]
         header = names + (["label"] if dataset.labels is not None else [])

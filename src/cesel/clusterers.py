@@ -39,9 +39,9 @@ class Dataset:
     raw: np.ndarray                        # (n, d) float, NaN = missing
     labels: np.ndarray | None = None       # (n,) int class labels, evaluation only
     feature_names: tuple[str, ...] = ()
-    # k -> read-only SPS embedding, or the message of its DegenerateSpectrum;
-    # None unless the dataset came from with_memo()
-    _embeddings: dict | None = field(default=None, repr=False, compare=False)
+    # linkage ID -> read-only merge tree, ("SPS", k) -> read-only embedding or
+    # the message of its DegenerateSpectrum; None unless made by with_memo()
+    _memo: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.samples.ndim != 2 or self.samples.shape[0] < 2 or self.samples.shape[1] < 1:
@@ -58,13 +58,13 @@ class Dataset:
         return self.samples.shape[1]
 
     def with_memo(self) -> Dataset:
-        """A copy that computes each k's spectral embedding once.
+        """A copy that keeps the clusterers' seed-free results.
 
-        SPS runs on the copy share one embedding per k and differ only in
-        their seeded assignment loop (see :func:`run_spectral_sparse`).
-        The memo lives as long as the copy; this dataset is left as it is.
+        Linkage runs on it share one merge tree per linkage ID, SPS runs one
+        embedding per k; both are read-only, and nothing n x n is kept. The
+        memo lives as long as the copy; this dataset is left as it is.
         """
-        return replace(self, _embeddings={})
+        return replace(self, _memo={})
 
 
 @dataclass(frozen=True)
@@ -138,6 +138,20 @@ def preprocess(
 
 
 # --- shared pieces ----------------------------------------------------------
+
+def _memoized(data: Dataset, key, compute):
+    """``compute()``, once per ``key`` on a dataset from :meth:`Dataset.with_memo`."""
+    memo = {} if data._memo is None else data._memo
+    if key not in memo:
+        try:
+            memo[key] = compute()
+            memo[key].setflags(write=False)
+        except DegenerateSpectrum as exc:
+            memo[key] = str(exc)
+    if isinstance(memo[key], str):
+        raise DegenerateSpectrum(memo[key])
+    return memo[key]
+
 
 # NumPy adds fewer than 8 terms of a reduction left to right and switches to
 # 8 interleaved accumulators from 8 terms on. Up to this many terms, adding
@@ -382,6 +396,19 @@ def cosine_matrix(x: np.ndarray) -> np.ndarray:
 _DISTANCE_FNS = {"E": euclidean_matrix, "H": hamming_matrix, "C": cosine_matrix}
 
 
+def _linkage_tree(x: np.ndarray, alg: str) -> np.ndarray:
+    """The (n-1, 4) merge tree of linkage ID ``alg`` on samples ``x``."""
+    dist, method = _DISTANCE_FNS[alg[2]](x), _LINKAGE_NAMES[alg[0]]
+    if alg[2] == "H":
+        return linkage_merge(dist, method)
+    # Imported on first use: scipy.cluster loads scipy.spatial (~50 ms),
+    # which runs and commands without such a linkage need not pay.
+    from scipy.cluster.hierarchy import linkage
+    from scipy.spatial.distance import squareform
+
+    return linkage(squareform(dist, checks=False), method)
+
+
 def run_linkage(data: Dataset, cfg: ClustererConfig) -> tuple[Partition, BasicParams]:
     """Agglomerative clustering; the algorithm ID picks linkage and distance.
 
@@ -402,23 +429,16 @@ def run_linkage(data: Dataset, cfg: ClustererConfig) -> tuple[Partition, BasicPa
     ``cut_merges``. On tie-free distances both give the same partition
     at every k. Where distances tie, scipy may merge the tied pairs in
     another order and so cut a different, equally deterministic partition.
+
+    The tree depends on neither k nor the seed: on a dataset from
+    :meth:`Dataset.with_memo` it is built once per linkage ID, then only cut.
     """
     alg = cfg.algorithm_id
     if alg not in LINKAGE_IDS:
         raise ValueError(f"not a linkage algorithm ID: {alg!r}")
     if cfg.k > data.n:
         raise InvalidK(f"k={cfg.k} exceeds sample count {data.n}")
-    dist = _DISTANCE_FNS[alg[2]](data.samples)
-    method = _LINKAGE_NAMES[alg[0]]
-    if alg[2] == "H":
-        tree = linkage_merge(dist, method)
-    else:
-        # Imported on first use: scipy.cluster loads scipy.spatial (~50 ms),
-        # which runs and commands without such a linkage need not pay.
-        from scipy.cluster.hierarchy import linkage
-        from scipy.spatial.distance import squareform
-
-        tree = linkage(squareform(dist, checks=False), method)
+    tree = _memoized(data, alg, lambda: _linkage_tree(data.samples, alg))
     labels = cut_merges(tree, cfg.k)
     code = np.array([["SACW".index(alg[0]), "EHC".index(alg[2])]], dtype=float)
     return Partition(labels, cfg.k), BasicParams(alg, code)
@@ -499,25 +519,13 @@ def run_spectral_sparse(data: Dataset, cfg: ClustererConfig) -> tuple[Partition,
     clustered with the seeded assignment loop. Starting parameters are the
     initial centroids in the embedded space.
 
-    Only the assignment loop reads the seed. On a dataset from
-    :meth:`Dataset.with_memo` the embedding, or the degenerate spectrum's
-    message, is computed once per k and kept read-only for later runs at
-    that k; the partition is the same either way.
+    Only the assignment loop reads the seed: on a dataset from
+    :meth:`Dataset.with_memo` the embedding is computed once per k.
     """
     n, k = data.n, cfg.k
     if k > n:
         raise InvalidK(f"k={cfg.k} exceeds sample count {n}")
-    memo = {} if data._embeddings is None else data._embeddings
-    if k not in memo:
-        try:
-            memo[k] = _spectral_embedding(data.samples, k)
-            memo[k].setflags(write=False)
-        except DegenerateSpectrum as exc:
-            memo[k] = str(exc)
-    embedding = memo[k]
-    if isinstance(embedding, str):
-        raise DegenerateSpectrum(embedding)
-
+    embedding = _memoized(data, ("SPS", k), lambda: _spectral_embedding(data.samples, k))
     rng = np.random.default_rng(cfg.seed)
     labels, initial = _lloyd(embedding, k, rng)
     return Partition(labels, k), BasicParams(cfg.algorithm_id, initial)

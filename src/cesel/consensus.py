@@ -21,7 +21,6 @@ from . import assets
 from ._agglo import cut_merges, linkage_merge
 from .clusterers import (
     ALGORITHM_IDS,
-    LINKAGE_IDS,
     ClustererConfig,
     Dataset,
     Partition,
@@ -296,11 +295,9 @@ def run_ces(data: Dataset, cfg: PipelineConfig) -> tuple[Partition, RunReport]:
     candidate runs. A candidate whose spectrum degenerates is recorded in
     the trace with its error and not admitted.
 
-    Linkage runs ignore the seed, so each (algorithm, k) is clustered
-    once per call and its result reused by later candidates. SPS reads
-    the seed only in its assignment loop: the clusterers get a copy of
-    ``data`` from :meth:`Dataset.with_memo`, so each k's spectral
-    embedding is computed once per call. ``data`` itself is left as it is.
+    Every attempt calls its clusterer on one copy of ``data`` from
+    :meth:`Dataset.with_memo`, which keeps the clusterers' seed-free work
+    for the call; ``data`` itself is left as it is.
     """
     t0 = time.perf_counter()
     if cfg.k_final > data.n:
@@ -315,24 +312,18 @@ def run_ces(data: Dataset, cfg: PipelineConfig) -> tuple[Partition, RunReport]:
     run_data = data.with_memo()
     committee: list[CommitteeEntry] = []
     trace: list[dict] = []
-    linkage_runs: dict[tuple[str, int], tuple[Partition, BasicParams]] = {}
-    attempts = 0
     for run_index in range(cfg.max_attempts):
         if len(committee) >= cfg.committee_target:
             break
-        attempts += 1
         run_cfg = _candidate_config(cfg, data.n, run_index)
         attempt = {"run_index": run_index, "algorithm": run_cfg.algorithm_id}
         trace.append(attempt)
-        key = (run_cfg.algorithm_id, run_cfg.k)
         try:
-            partition, params = linkage_runs.get(key) or run_algorithm(run_data, run_cfg)
+            partition, params = run_algorithm(run_data, run_cfg)
         except DegenerateSpectrum as exc:
             attempt.update(diversity=None, admitted=False,
                            error=type(exc).__name__, message=str(exc))
             continue
-        if run_cfg.algorithm_id in LINKAGE_IDS:
-            linkage_runs[key] = partition, params
         report = admit(partition, [e.partition for e in committee], cfg.d_threshold)
         attempt.update(diversity=report.div, admitted=report.admitted)
         if report.admitted:
@@ -348,7 +339,7 @@ def run_ces(data: Dataset, cfg: PipelineConfig) -> tuple[Partition, RunReport]:
 
     if len(committee) < 2:
         raise CommitteeTooSmall(
-            f"only {len(committee)} admission(s) after {attempts} attempts"
+            f"only {len(committee)} admission(s) after {len(trace)} attempts"
         )
 
     if cfg.consensus == "weac":
@@ -369,7 +360,7 @@ def run_ces(data: Dataset, cfg: PipelineConfig) -> tuple[Partition, RunReport]:
     report = RunReport(
         final_assignments=tuple(int(v) for v in final.assignments),
         n_ce=len(committee),
-        attempts=attempts,
+        attempts=len(trace),
         per_entry=per_entry,
         trace=tuple(trace),
         config=cfg.to_dict(),

@@ -281,8 +281,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> d
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
-        with open(out / "summary.csv", "w", newline="") as fh:
+        (out / "report.json").write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+        with open(out / "summary.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["rate", "method", "mean_accuracy", "std"])
             for r in report["rows"]:

@@ -149,8 +149,8 @@ def build_aidm(arrays: list[GraphArray]) -> Aidm:
 
 
 def save_aidm_csv(aidm: Aidm, path: str | Path) -> None:
-    """Write ``aidm`` as CSV: header row/column of IDs, -1 diagonal."""
-    with open(path, "w", newline="") as fh:
+    """Write ``aidm`` as UTF-8 CSV: header row/column of IDs, -1 diagonal."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([""] + list(aidm.algorithm_ids))
         for alg_id, row in zip(aidm.algorithm_ids, aidm.values):
@@ -164,13 +164,16 @@ def _fmt(v: float) -> str:
 def load_aidm_csv(path: str | Path) -> Aidm:
     """Read an independency matrix CSV written by :func:`save_aidm_csv`.
 
-    Raises ``ValueError`` for a file without a header row of IDs, a
-    repeated ID, a row count or row length that does not match the header,
-    a row label that differs from its header ID, a non-numeric cell, or a
-    matrix that :class:`Aidm` rejects.
+    Raises ``ValueError`` for a file not in UTF-8, without a header row of
+    IDs, with a repeated ID, a row count or length that does not match the
+    header, a row label unlike its ID, a non-numeric cell, or a matrix
+    that :class:`Aidm` rejects.
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"not UTF-8 text (byte {exc.start})") from None
     if not rows or len(rows[0]) < 2:
         raise ValueError("no header row of algorithm IDs")
     ids = tuple(h.strip() for h in rows[0][1:])

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from cesel import consensus
-from cesel.harness import gen_blobs
+from cesel.harness import gen_blobs, gen_half_ring
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import spans  # noqa: E402
@@ -41,3 +41,22 @@ def test_pipeline_calls_the_consensus_targets():
     called = {span[0] for span in tracer.spans}
     assert {"pipeline.run_ces", "clusterers.linkage_merge", "consensus.coassoc",
             "consensus.average_linkage", "consensus.linkage_merge", "consensus.cut"} <= called
+
+
+def test_every_attempt_opens_one_clusterer_span():
+    # No cache sits above run_algorithm, so the benchmark's
+    # clusterers.calls counts attempts, reused linkage trees included.
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        _, report = consensus.run_ces(
+            gen_half_ring(60, 0.05, seed=11),
+            consensus.PipelineConfig(k_final=2, d_threshold=0.35, committee_target=8,
+                                     max_attempts=32, seed=3, vary_k=True),
+        )
+    finally:
+        tracer.uninstall()
+    calls = [span for span in tracer.spans if span[0] == "clusterers.run_algorithm"]
+    assert len(calls) == report.attempts
+    drawn = [t["algorithm"] for t in report.trace if t["algorithm"] in spans.LINKAGE_IDS]
+    assert len(drawn) > len(set(drawn))  # some linkage ID was drawn again

@@ -126,6 +126,30 @@ def test_sweep_dt_command(ring_csv, tmp_path):
     assert len(rows) == 2
 
 
+def test_files_are_utf8_under_an_ascii_locale(tmp_path):
+    # Under the POSIX locale (and without UTF-8 mode) Python's default
+    # text encoding is ASCII; every file cesel reads or writes is UTF-8.
+    env = dict(os.environ, PYTHONPATH=str(Path(cesel.__file__).parents[1]),
+               LC_ALL="POSIX", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    data = tmp_path / "data.csv"
+    data.write_text("caf\xe9,b\n1,2\n3,4\n5,6\n", encoding="utf-8")
+    scmt = tmp_path / "scmt.tsv"
+    scmt.write_text("R(1)\tz\xe9ro\n", encoding="utf-8")
+    script = tmp_path / "k.cail"
+    script.write_text("begin R(1) end\n", encoding="utf-8")
+    commands = [
+        ["perturb", "--data", data, "--mode", "noise", "--rate", "0.2",
+         "--out", tmp_path / "noisy.csv"],
+        ["cail", script, "--scmt", scmt, "--dot", tmp_path / "k.dot"],
+    ]
+    for args in commands:
+        done = subprocess.run([sys.executable, "-m", "cesel.cli", *map(str, args)],
+                              env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, ""), args
+    noisy = (tmp_path / "noisy.csv").read_text(encoding="utf-8")
+    assert noisy.startswith("caf\xe9,b\n")
+
+
 def test_importing_the_cli_leaves_scipy_optimize_unloaded():
     env = dict(os.environ, PYTHONPATH=str(Path(cesel.__file__).parents[1]))
     code = "import sys, cesel.cli; sys.exit('scipy.optimize' in sys.modules)"
@@ -195,19 +219,21 @@ class TestExitCodes:
         ",K,F\nK,-1,1.5\nF,1.5,-1\n",
         ",K,F\nK,-1,nan\nF,nan,-1\n",
         ",K,K\nK,-1,0.5\nK,0.5,-1\n",
+        ",K,F\nK,-1,0.5\nF,0.5,-1\n# caf\xe9\n",
     ], ids=["empty", "missing-row", "ragged-row", "non-numeric", "label-order",
-            "asymmetric", "diagonal", "above-one", "nan", "duplicate-id"])
+            "asymmetric", "diagonal", "above-one", "nan", "duplicate-id", "not-utf8"])
     def test_bad_aidm_is_data_error_before_any_candidate(
         self, iris_path, tmp_path, text, no_candidates, capsys
     ):
         bad = tmp_path / "aidm.csv"
-        bad.write_text(text)
+        bad.write_text(text, encoding="latin-1")
         rc = main(["run", "--data", iris_path, "--label", "species", "--k", "3",
                    "--aidm", str(bad)])
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("data error: ") and err.count("\n") == 1
         assert str(bad) in err
+        assert ("not UTF-8 text (byte" in err) == ("\xe9" in text)
 
     def test_missing_aidm_is_data_error_before_any_candidate(
         self, iris_path, tmp_path, no_candidates, capsys
@@ -297,11 +323,12 @@ class TestExitCodes:
         "R1\tno parentheses\n",
         "R(1)\n",
         "R(1)\trandom\nr(1)\tagain\n",
-    ], ids=["malformed-id", "no-description", "duplicate"])
+        "R(1)\tcaf\xe9\n",
+    ], ids=["malformed-id", "no-description", "duplicate", "not-utf8"])
     @pytest.mark.parametrize("command", ["cail", "aidm"])
     def test_malformed_symbol_table_is_data_error(self, tmp_path, table, command, capsys):
         scmt = tmp_path / "scmt.tsv"
-        scmt.write_text(table)
+        scmt.write_text(table, encoding="latin-1")
         script = tmp_path / "k.cail"
         script.write_text("begin R(1) end\n")
         if command == "cail":
@@ -313,6 +340,7 @@ class TestExitCodes:
         assert rc == 2
         assert err.startswith("data error: ") and err.count("\n") == 1
         assert str(scmt) in err
+        assert ("not UTF-8 text (byte" in err) == ("\xe9" in table)
 
     def test_script_directory_without_scripts_is_data_error(self, tmp_path, capsys):
         rc = main(["aidm", "--scripts", str(tmp_path), "--out", str(tmp_path / "a.csv")])

@@ -213,6 +213,27 @@ class TestLinkage:
             part, _ = run_linkage(data, ClustererConfig(alg, k=k, seed=0))
             assert np.array_equal(part.assignments, cut_merges(tree, k)), k
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 12), st.integers(1, 3), st.integers(0, 2**32 - 1), st.data())
+    def test_memoized_tree_cuts_as_a_fresh_run(self, n, d, seed, draw):
+        # Few distinct values on a small grid, plus a repeated row: points
+        # coincide and distances tie, so the tie rules decide the trees.
+        rng = np.random.default_rng(seed)
+        points = rng.integers(0, 3, size=(n, d)).astype(float)
+        points[-1] = points[0]
+        data = preprocess(points)
+        memo = data.with_memo()
+        ks = draw.draw(st.lists(st.integers(1, n), min_size=1, max_size=6))
+        for alg in LINKAGE_IDS:
+            for k in ks:
+                cfg = ClustererConfig(alg, k=k, seed=k)
+                got, got_params = run_linkage(memo, cfg)
+                want, want_params = run_linkage(data, cfg)
+                assert np.array_equal(got.assignments, want.assignments), (alg, k)
+                assert got_params.algorithm_id == want_params.algorithm_id
+                assert np.array_equal(got_params.rows, want_params.rows)
+        assert set(memo._memo) == set(LINKAGE_IDS) and data._memo is None
+
 
 class TestDistanceMatrices:
     def test_euclidean_basics(self):

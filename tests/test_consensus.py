@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.cluster.hierarchy
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -445,6 +446,8 @@ SPS_CFG = PipelineConfig(k_final=2, d_threshold=0.0, committee_target=14, max_at
                          seed=3, roster=("K", "SPS"), vary_k=True)
 FULL_CFG = PipelineConfig(k_final=2, d_threshold=0.35, committee_target=8,
                           max_attempts=32, seed=7, vary_k=True)
+LINKAGE_CFG = PipelineConfig(k_final=2, d_threshold=0.35, committee_target=8,
+                             max_attempts=32, seed=5, roster=LINKAGE_IDS, vary_k=True)
 
 
 def _deterministic(report):
@@ -454,7 +457,7 @@ def _deterministic(report):
 
 
 def _without_memo(data, cfg, monkeypatch):
-    """run_ces with every SPS run computing its own embedding."""
+    """run_ces with every linkage and SPS run computing its own tree or embedding."""
     with monkeypatch.context() as m:
         m.setattr(Dataset, "with_memo", lambda self: self)
         return run_ces(data, cfg)
@@ -473,22 +476,30 @@ def _recording(monkeypatch):
 
 
 class TestCandidateRuns:
-    def test_each_linkage_key_runs_once(self, monkeypatch):
-        calls = []
+    def test_each_linkage_tree_is_built_once(self, monkeypatch):
+        built = []
+        engine, compiled = clusterers.linkage_merge, scipy.cluster.hierarchy.linkage
 
-        def counting(data, cfg):
-            calls.append((cfg.algorithm_id, cfg.k))
-            return run_algorithm(data, cfg)
+        def counting(build):
+            def counted(dist, method):
+                built.append(method)
+                return build(dist, method)
+            return counted
 
-        monkeypatch.setattr("cesel.consensus.run_algorithm", counting)
+        monkeypatch.setattr(clusterers, "linkage_merge", counting(engine))
+        monkeypatch.setattr(scipy.cluster.hierarchy, "linkage", counting(compiled))
+        seen = _recording(monkeypatch)
         cfg = PipelineConfig(k_final=2, d_threshold=0.35, committee_target=8,
                              max_attempts=32, seed=3, vary_k=True)
         _, report = run_ces(RING, cfg)
-        linkage_calls = [c for c in calls if c[0] in LINKAGE_IDS]
-        assert len(linkage_calls) == len(set(linkage_calls))
-        # the memo was exercised: some linkage key was drawn more than once
-        drawn = [t["algorithm"] for t in report.trace if t["algorithm"] in LINKAGE_IDS]
-        assert len(drawn) > len(linkage_calls)
+        assert len(seen) == report.attempts  # no cache sits above the clusterers
+        drawn_ks: dict[str, set[int]] = {}
+        for _, run_cfg in seen:
+            if run_cfg.algorithm_id in LINKAGE_IDS:
+                drawn_ks.setdefault(run_cfg.algorithm_id, set()).add(run_cfg.k)
+        assert len(built) == len(drawn_ks)
+        # the memo was exercised across k: some ID was cut at two or more k
+        assert any(len(ks) >= 2 for ks in drawn_ks.values())
 
     def test_degenerate_candidate_is_recorded_and_skipped(self, monkeypatch):
         def flaky(data, cfg):
@@ -526,7 +537,7 @@ class TestCandidateRuns:
         assert sorted(computed) == sorted(set(drawn))
         assert len(drawn) > len(computed)  # the memo was hit
 
-    @pytest.mark.parametrize("cfg", [SPS_CFG, FULL_CFG])
+    @pytest.mark.parametrize("cfg", [SPS_CFG, FULL_CFG, LINKAGE_CFG])
     def test_memo_leaves_reports_unchanged(self, cfg, monkeypatch):
         _, want = _without_memo(RING, cfg, monkeypatch)
         _, got = run_ces(RING, cfg)
@@ -540,20 +551,29 @@ class TestCandidateRuns:
         got = [_deterministic(run_ces(d, SPS_CFG)[1]) for d in (RING, other)]
         assert got == want
         first, second = (d for d, _ in seen[:1] + seen[-1:])
-        assert first._embeddings is not second._embeddings
+        assert first._memo is not second._memo
         assert all(d is not RING and d is not other for d, _ in seen)
-        assert RING._embeddings is None and np.array_equal(RING.samples, samples)
+        assert RING._memo is None and np.array_equal(RING.samples, samples)
 
     def test_cached_embeddings_are_read_only(self, monkeypatch):
         seen = _recording(monkeypatch)
         run_ces(RING, SPS_CFG)
-        memo = seen[0][0]._embeddings
-        assert memo
-        for k, embedding in memo.items():
-            assert embedding.shape == (RING.n, k)
-            assert not embedding.flags.writeable
-            with pytest.raises(ValueError):
-                embedding[0, 0] = 0.0
+        run_ces(RING, LINKAGE_CFG)
+        memos = {id(d._memo): d._memo for d, _ in seen}
+        assert len(memos) == 2
+        trees = embeddings = 0
+        for memo in memos.values():
+            for key, value in memo.items():
+                if key in LINKAGE_IDS:
+                    trees += 1
+                    assert value.shape == (RING.n - 1, 4)
+                else:
+                    embeddings += 1
+                    assert key[0] == "SPS" and value.shape == (RING.n, key[1])
+                assert not value.flags.writeable
+                with pytest.raises(ValueError):
+                    value[0, 0] = 0.0
+        assert trees and embeddings
 
     def test_degenerate_spectrum_is_remembered(self, monkeypatch):
         computed = []
