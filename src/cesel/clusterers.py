@@ -8,7 +8,9 @@ runs are flagged fully dependent.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -58,13 +60,13 @@ class Dataset:
         return self.samples.shape[1]
 
     def with_memo(self) -> Dataset:
-        """A copy that keeps the clusterers' seed-free results.
+        """This dataset if it keeps the clusterers' seed-free results, else a copy that does.
 
         Linkage runs on it share one merge tree per linkage ID, SPS runs one
         embedding per k; both are read-only, and nothing n x n is kept. The
-        memo lives as long as the copy; this dataset is left as it is.
+        memo lives as long as the copy; a dataset without one is left as it is.
         """
-        return replace(self, _memo={})
+        return self if self._memo is not None else replace(self, _memo={})
 
 
 @dataclass(frozen=True)
@@ -89,6 +91,19 @@ class Partition:
 
     def cluster_sizes(self) -> np.ndarray:
         return np.bincount(self.assignments, minlength=self.k)
+
+    @cached_property
+    def size_terms(self) -> tuple[tuple[int, ...], tuple[float, ...], float]:
+        """Each non-empty cluster's size s and s·log(s/n), in label order, and their sum.
+
+        The sum is -n times the entropy of the cluster sizes; the diversity
+        gate reads all three. Computed on first use and kept, so the
+        assignments must not change afterwards.
+        """
+        n = self.assignments.size
+        sizes = tuple(int(s) for s in self.cluster_sizes() if s > 0)
+        terms = tuple(s * math.log(s / n) for s in sizes)
+        return sizes, terms, sum(terms)
 
 
 @dataclass(frozen=True)
@@ -363,15 +378,27 @@ def euclidean_matrix(x: np.ndarray) -> np.ndarray:
 def hamming_matrix(x: np.ndarray) -> np.ndarray:
     """Fraction of coordinates differing by more than a small tolerance.
 
-    Counts one coordinate at a time in reused n x n buffers; a count of
-    0/1 values is exact in any order, so this equals the mean over a
-    stacked (n, n, d) mask.
+    A column whose sorted neighbours all lie more than the tolerance apart
+    separates every pair of samples: rounding a difference is monotone, so
+    no pair in it is closer than some pair of sort-neighbours. On
+    continuous features every column is such, and the result is d/d = 1
+    off the diagonal with nothing counted. Otherwise those columns add 1
+    to every off-diagonal count at once, and the rest are counted one
+    coordinate at a time in reused n x n buffers; a count of 0/1 values is
+    exact in any order, so this equals the mean over a stacked (n, n, d)
+    mask.
     """
     n, d = x.shape
-    count = np.zeros((n, n))
+    distinct = np.all(np.diff(np.sort(x, axis=0), axis=0) > _HAMMING_TOL, axis=0)
+    if distinct.all():
+        ones = np.ones((n, n))
+        np.fill_diagonal(ones, 0.0)
+        return ones
+    count = np.full((n, n), float(np.count_nonzero(distinct)))
+    np.fill_diagonal(count, 0.0)
     gap = np.empty((n, n))
     differs = np.empty((n, n), dtype=bool)
-    for col in x.T:
+    for col in x.T[~distinct]:
         np.subtract.outer(col, col, out=gap)
         np.abs(gap, out=gap)
         np.greater(gap, _HAMMING_TOL, out=differs)

@@ -295,9 +295,11 @@ def run_ces(data: Dataset, cfg: PipelineConfig) -> tuple[Partition, RunReport]:
     candidate runs. A candidate whose spectrum degenerates is recorded in
     the trace with its error and not admitted.
 
-    Every attempt calls its clusterer on one copy of ``data`` from
-    :meth:`Dataset.with_memo`, which keeps the clusterers' seed-free work
-    for the call; ``data`` itself is left as it is.
+    Every attempt calls its clusterer on ``data.with_memo()``, which keeps
+    the clusterers' seed-free work: ``data`` itself when it already keeps
+    it, so callers that run several pipelines on one dataset from
+    :meth:`Dataset.with_memo` share that work, and otherwise one copy made
+    for this call, which leaves ``data`` as it is.
     """
     t0 = time.perf_counter()
     if cfg.k_final > data.n:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clusterers import Partition
+from .clusterers import _SEQUENTIAL_TERMS, Partition
 from .errors import EmptyCommittee
 
 
@@ -32,49 +32,83 @@ def apmm(cluster_members: np.ndarray, partition: Partition, n_total: int) -> flo
         raise ValueError(f"cluster size {n_c} outside [1, {n_total}]")
     if len(np.unique(cluster_members)) != n_c:
         raise ValueError("cluster member indices must be unique")
-    return _apmm(n_c, n_total, _size_entropy_term(partition, n_total))
+    if len(partition) != n_total:
+        raise ValueError(f"reference partition covers {len(partition)} samples, not {n_total}")
+    own = n_c * math.log(n_c / n_total)
+    return _apmm(-2.0 * n_c * math.log(n_total / n_c), own, partition.size_terms[2])
 
 
-def _size_entropy_term(partition: Partition, n_total: int) -> float:
-    """The reference partition's share of the :func:`apmm` denominator."""
-    sizes = np.bincount(partition.assignments, minlength=partition.k)
-    return sum(s * math.log(s / n_total) for s in sizes if s > 0)
+def _apmm(numerator: float, own: float, ref_term: float) -> float:
+    """:func:`apmm` of a cluster of s samples out of n, from its terms.
 
-
-def _apmm(n_c: int, n_total: int, ref_term: float) -> float:
-    """:func:`apmm` of a cluster of ``n_c`` samples, given the reference's term."""
-    numerator = -2.0 * n_c * math.log(n_total / n_c)
-    denominator = n_c * math.log(n_c / n_total) + ref_term
+    ``numerator`` is -2·s·log(n/s), ``own`` is s·log(s/n), and ``ref_term``
+    is the reference's sum of such terms (:attr:`Partition.size_terms`).
+    """
+    denominator = own + ref_term
     if denominator == 0.0:
         # both sides are the degenerate single full cluster
         return 1.0
     return numerator / denominator
 
 
+def _mean(scores: list[float]) -> float:
+    """``float(np.mean(scores))`` bit for bit, without an array for short lists.
+
+    NumPy adds up to ``_SEQUENTIAL_TERMS`` terms left to right, as this loop
+    does, and more of them pairwise.
+    """
+    if len(scores) > _SEQUENTIAL_TERMS:
+        return float(np.mean(scores))
+    total = 0.0
+    for score in scores:
+        total += score
+    return total / len(scores)
+
+
+def _raw_scores(p: Partition, refs: list[Partition]) -> tuple[float, ...]:
+    """Unclamped similarity of ``p`` to each of ``refs``.
+
+    The one path of :func:`aapmm_raw`, :func:`aapmm`, :func:`uniformity`
+    and :func:`admit`: each partition's size terms are computed once and
+    kept with it, and ``p``'s numerators once per call, so each reference
+    costs a few float operations per cluster of ``p``.
+    """
+    n = len(p)
+    sizes, own_terms, _ = p.size_terms
+    numerators = [-2.0 * s * math.log(n / s) for s in sizes]
+    raw = []
+    for ref in refs:
+        if len(ref) != n:
+            raise ValueError("partitions cover different sample counts")
+        ref_term = ref.size_terms[2]
+        raw.append(_mean([_apmm(num, own, ref_term)
+                          for num, own in zip(numerators, own_terms)]))
+    return tuple(raw)
+
+
+def _clamp(raw: float) -> float:
+    return min(1.0, max(0.0, raw))
+
+
 def aapmm_raw(p: Partition, ref: Partition) -> float:
     """Unclamped similarity of partition ``p`` to reference ``ref``.
 
-    Mean cluster-vs-partition score over the clusters of ``p``. Can
-    exceed 1 for degenerate references; see :func:`aapmm`.
+    Mean cluster-vs-partition score over the non-empty clusters of ``p``.
+    Can exceed 1 for degenerate references; see :func:`aapmm`.
     """
-    n = len(p.assignments)
-    if n != len(ref.assignments):
-        raise ValueError("partitions cover different sample counts")
-    ref_term = _size_entropy_term(ref, n)
-    scores = [_apmm(int(n_c), n, ref_term) for n_c in p.cluster_sizes() if n_c > 0]
-    return float(np.mean(scores))
+    return _raw_scores(p, [ref])[0]
 
 
 def aapmm(p: Partition, ref: Partition) -> float:
     """Similarity of two partitions, clamped to [0, 1]."""
-    return min(1.0, max(0.0, aapmm_raw(p, ref)))
+    return _clamp(aapmm_raw(p, ref))
 
 
 def uniformity(p: Partition, committee: list[Partition]) -> float:
     """Maximum similarity of ``p`` against any committee member."""
     if not committee:
         raise EmptyCommittee("uniformity needs at least one committee member")
-    return max(aapmm(p, member) for member in committee)
+    return max(_clamp(r) for r in _raw_scores(p, committee))
 
 
 @dataclass(frozen=True)
@@ -97,9 +131,9 @@ def admit(p: Partition, committee: list[Partition], d_threshold: float) -> Diver
         raise ValueError(f"diversity threshold {d_threshold} outside [0, 1]")
     if not committee:
         return DiversityReport(uniformity=0.0, div=1.0, raw_scores=(), admitted=True)
-    raw = tuple(aapmm_raw(p, member) for member in committee)
-    uni = max(min(1.0, max(0.0, r)) for r in raw)
+    raw = _raw_scores(p, committee)
+    uni = max(_clamp(r) for r in raw)
     div = 1.0 - uni
     return DiversityReport(
-        uniformity=uni, div=div, raw_scores=raw, admitted=div >= d_threshold
+        uniformity=uni, div=div, raw_scores=raw, admitted=bool(div >= d_threshold)
     )

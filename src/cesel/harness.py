@@ -254,6 +254,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> d
             data = inject_noise(spec.dataset, rate, _rep_seed(spec.pipeline.seed, 92, rate_idx))
         else:
             data = spec.dataset
+        data = data.with_memo()  # shared by every method and repetition
         for method_idx, method in enumerate(spec.methods):
             scores = [
                 accuracy(
@@ -303,6 +304,7 @@ def sweep_dt(
     accuracy (when labels exist), mean wall time, and the mean number of
     attempts needed per admitted committee member.
     """
+    data = data.with_memo()  # every threshold and repetition shares it
     rows = []
     for dt in thresholds:
         accs, walls, ratios = [], [], []

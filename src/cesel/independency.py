@@ -70,16 +70,22 @@ def _greedy_extract(values: np.ndarray, pick) -> list[float]:
     ``np.argmin``) selects from what is left, then deletes its row and
     column; ties go to the smallest row index, then the smallest column
     index. Stops after min(rows, cols) extractions.
+
+    Deleting is masking: a picked row and column are filled with the value
+    ``pick`` never prefers (-inf for ``np.argmax``, +inf otherwise), and
+    ``pick`` scans the whole matrix in row-major order, which visits the
+    remaining entries in the order of the shrunken matrix. A masked entry
+    can only tie a remaining one that is itself infinite, and then every
+    later pick is that same infinity either way.
     """
-    rows = list(range(values.shape[0]))
-    cols = list(range(values.shape[1]))
+    left = np.array(values, dtype=float)
+    masked = -np.inf if pick is np.argmax else np.inf
     picked: list[float] = []
-    for _ in range(min(values.shape)):
-        sub = values[np.ix_(rows, cols)]
-        r, c = np.unravel_index(int(pick(sub)), sub.shape)
-        picked.append(float(sub[r, c]))
-        del rows[r]
-        del cols[c]
+    for _ in range(min(left.shape)):
+        r, c = divmod(int(pick(left)), left.shape[1])
+        picked.append(float(left[r, c]))
+        left[r, :] = masked
+        left[:, c] = masked
     return picked
 
 

@@ -1,12 +1,14 @@
 """Cluster-vs-partition similarity scores and the admission gate."""
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cesel.clusterers import Partition
-from cesel.diversity import aapmm, aapmm_raw, admit, apmm, uniformity
+from cesel.diversity import DiversityReport, _mean, aapmm, aapmm_raw, admit, apmm, uniformity
 from cesel.errors import EmptyCommittee
 from cesel.harness import gen_blobs
 from cesel.clusterers import ClustererConfig, run_kmeans
@@ -218,3 +220,135 @@ class TestAdmit:
     def test_threshold_validated(self):
         with pytest.raises(ValueError):
             admit(part([0, 1]), [], 1.5)
+
+
+# --- the gate on cached size terms --------------------------------------------
+# Per-member scoring as it was before each partition kept its size terms,
+# verbatim: the reference's term from a fresh bincount for every pair, and
+# the mean through np.mean. The gate must equal it bit for bit.
+
+def seed_size_entropy_term(partition, n_total):
+    sizes = np.bincount(partition.assignments, minlength=partition.k)
+    return sum(s * math.log(s / n_total) for s in sizes if s > 0)
+
+
+def seed_apmm(n_c, n_total, ref_term):
+    numerator = -2.0 * n_c * math.log(n_total / n_c)
+    denominator = n_c * math.log(n_c / n_total) + ref_term
+    if denominator == 0.0:
+        return 1.0
+    return numerator / denominator
+
+
+def seed_aapmm_raw(p, ref):
+    n = len(p.assignments)
+    if n != len(ref.assignments):
+        raise ValueError("partitions cover different sample counts")
+    ref_term = seed_size_entropy_term(ref, n)
+    scores = [seed_apmm(int(n_c), n, ref_term) for n_c in p.cluster_sizes() if n_c > 0]
+    return float(np.mean(scores))
+
+
+def seed_admit(p, committee, d_threshold):
+    if not committee:
+        return DiversityReport(uniformity=0.0, div=1.0, raw_scores=(), admitted=True)
+    raw = tuple(seed_aapmm_raw(p, member) for member in committee)
+    uni = max(min(1.0, max(0.0, r)) for r in raw)
+    div = 1.0 - uni
+    return DiversityReport(uniformity=uni, div=div, raw_scores=raw, admitted=div >= d_threshold)
+
+
+@st.composite
+def partitions(draw, n):
+    """A partition of n samples: random labels over 1-12 clusters (some may
+    be empty), all singletons, or one full cluster."""
+    kind = draw(st.sampled_from(["labels", "singletons", "full"]))
+    if kind == "singletons":
+        return part(np.asarray(draw(st.permutations(range(n)))), n)
+    if kind == "full":
+        return part(np.zeros(n, dtype=int), draw(st.integers(1, 3)))
+    k = draw(st.integers(1, 12))
+    return part(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)), k)
+
+
+def bits(report):
+    return ([r.hex() for r in report.raw_scores], report.uniformity.hex(),
+            report.div.hex(), report.admitted)
+
+
+def assert_plain(report):
+    assert all(type(r) is float for r in report.raw_scores)
+    assert type(report.uniformity) is float and type(report.div) is float
+    assert type(report.admitted) is bool
+    json.dumps(asdict(report))
+
+
+class TestCachedGate:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_per_member_scoring(self, data):
+        n = data.draw(st.integers(1, 40))
+        p = data.draw(partitions(n))
+        committee = data.draw(st.lists(partitions(n), max_size=6))
+        d_threshold = data.draw(st.floats(0.0, 1.0))
+        report = admit(p, committee, d_threshold)
+        assert bits(report) == bits(seed_admit(p, committee, d_threshold))
+        assert_plain(report)
+        for ref in committee:
+            assert aapmm_raw(p, ref).hex() == seed_aapmm_raw(p, ref).hex()
+        if committee:
+            assert uniformity(p, committee) == report.uniformity
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_every_cluster_count_around_the_pairwise_sum(self, k):
+        # np.mean adds left to right below 8 terms and pairwise from 8 on;
+        # the gate must follow it on both sides.
+        rng = np.random.default_rng(100 + k)
+        n = 60
+        p = part(np.concatenate([np.arange(k), rng.integers(0, k, n - k)]), k)
+        committee = [part(rng.integers(0, m, n), m) for m in (1, 2, 5, 9, 12)]
+        committee.append(p)
+        report = admit(p, committee, 0.3)
+        assert bits(report) == bits(seed_admit(p, committee, 0.3))
+        assert_plain(report)
+
+    def test_mean_matches_numpy_on_both_sides_of_eight(self):
+        rng = np.random.default_rng(71)
+        for length in range(1, 21):
+            for _ in range(50):
+                scores = list(rng.random(length) * 10.0 ** rng.integers(-3, 4, length))
+                assert _mean(scores).hex() == float(np.mean(scores)).hex()
+
+    def test_singletons_and_full_clusters(self):
+        n = 12
+        singletons = part(np.arange(n), n)
+        full = part(np.zeros(n, dtype=int), 1)
+        halves = part(np.repeat([0, 1], n // 2))
+        for p in (singletons, full, halves):
+            committee = [singletons, full, halves]
+            assert bits(admit(p, committee, 0.5)) == bits(seed_admit(p, committee, 0.5))
+        # a full cluster against a single full cluster: denominator 0, score 1
+        assert aapmm_raw(full, full) == 1.0 and admit(full, [full], 0.0).div == 0.0
+
+    def test_plain_types_for_any_threshold_type(self):
+        p, q = part([0, 0, 1, 1]), part([0, 1, 0, 1])
+        report = admit(p, [q, p], np.float64(0.2))
+        assert_plain(report)
+        assert_plain(admit(p, [], 0.2))
+
+    def test_size_terms_computed_once_per_partition(self, monkeypatch):
+        counted = []
+        sizes = Partition.cluster_sizes
+
+        def counting(self):
+            counted.append(id(self))
+            return sizes(self)
+
+        monkeypatch.setattr(Partition, "cluster_sizes", counting)
+        rng = np.random.default_rng(73)
+        committee = [part(rng.integers(0, 3, 20), 3) for _ in range(4)]
+        candidates = [part(rng.integers(0, 3, 20), 3) for _ in range(5)]
+        for candidate in candidates:
+            admit(candidate, committee, 0.2)
+        # four members and five candidates, each counted once
+        assert len(counted) == len(set(counted)) == 9

@@ -1,12 +1,13 @@
 """Dataset I/O, synthetic data, accuracy, perturbations, experiments."""
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cesel import assets
-from cesel.clusterers import Partition
+from cesel import assets, clusterers
+from cesel.clusterers import Dataset, Partition
 from cesel.consensus import PipelineConfig
 from cesel.errors import AllMissingColumn, LengthMismatch, ParseError
 from cesel.harness import (
@@ -282,6 +283,75 @@ class TestSweepDt:
         for r in rows:
             assert r["accuracy_mean"] is not None
             assert r["wall_time_ms_mean"] > 0
+
+
+# The whole roster, so eac/weac runs draw linkage IDs and SPS.
+FULL_PIPELINE = PipelineConfig(k_final=2, d_threshold=0.2, committee_target=6,
+                               max_attempts=24, seed=151)
+
+
+def _counting_seed_free_work(monkeypatch):
+    """Record each linkage tree and SPS embedding the clusterers compute,
+    with the samples it was computed on."""
+    computed = []
+    tree, embed = clusterers._linkage_tree, clusterers._spectral_embedding
+
+    def counted_tree(x, alg):
+        computed.append((alg, x))
+        return tree(x, alg)
+
+    def counted_embed(x, k):
+        computed.append((("SPS", k), x))
+        return embed(x, k)
+
+    monkeypatch.setattr(clusterers, "_linkage_tree", counted_tree)
+    monkeypatch.setattr(clusterers, "_spectral_embedding", counted_embed)
+    return computed
+
+
+def _memo_per_call(monkeypatch):
+    """Every with_memo() call makes a fresh memo, as if nothing shared one."""
+    monkeypatch.setattr(Dataset, "with_memo", lambda self: replace(self, _memo={}))
+
+
+class TestSharedMemo:
+    DATA = gen_half_ring(60, 0.06, seed=31)
+
+    def spec(self, methods, **kw):
+        return ExperimentSpec(dataset=self.DATA, dataset_name="hr", pipeline=FULL_PIPELINE,
+                              repetitions=3, methods=methods, **kw)
+
+    def test_spectral_baseline_embeds_once(self, monkeypatch):
+        computed = _counting_seed_free_work(monkeypatch)
+        run_experiment(self.spec(("spectral",)))
+        assert [key for key, _ in computed] == [("SPS", 2)]
+
+    def test_experiment_builds_each_tree_once_per_dataset(self, monkeypatch):
+        computed = _counting_seed_free_work(monkeypatch)
+        run_experiment(self.spec(("eac", "weac"), perturb_mode="noise",
+                                 perturb_rates=(0.0, 0.1)))
+        samples = {id(x): x for _, x in computed}
+        assert len(samples) == 2  # the clean and the perturbed dataset
+        for x in samples.values():
+            keys = [key for key, y in computed if y is x]
+            assert keys and len(keys) == len(set(keys))
+
+    def test_sweep_builds_each_tree_once(self, monkeypatch):
+        computed = _counting_seed_free_work(monkeypatch)
+        sweep_dt(self.DATA, FULL_PIPELINE, (0.0, 0.2, 0.3), repetitions=2)
+        keys = [key for key, _ in computed]
+        assert keys and len(keys) == len(set(keys))
+        assert self.DATA._memo is None
+
+    def test_sharing_leaves_results_unchanged(self, monkeypatch):
+        spec = self.spec(("kmeans", "spectral", "eac", "weac"))
+        shared = run_experiment(spec), sweep_dt(self.DATA, FULL_PIPELINE, (0.0, 0.3), 2)
+        _memo_per_call(monkeypatch)
+        apart = run_experiment(spec), sweep_dt(self.DATA, FULL_PIPELINE, (0.0, 0.3), 2)
+        for rows in (shared[1], apart[1]):
+            for row in rows:
+                row.pop("wall_time_ms_mean")
+        assert json.dumps(shared) == json.dumps(apart)
 
 
 class TestAccuracyResult:

@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from cesel import assets
@@ -326,9 +326,27 @@ def seed_min_matching(dist):
 @settings(max_examples=300, deadline=None)
 @given(arrays(np.int64, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
               elements=st.integers(0, 3)))
+# integer matrices where every pick is a tie: all equal, equal rows, equal
+# columns, and a tied diagonal against tied off-diagonal entries
+@example(np.zeros((4, 6), dtype=np.int64))
+@example(np.full((6, 6), 3, dtype=np.int64))
+@example(np.tile(np.array([[2, 0, 2, 1, 0, 2]]), (5, 1)))
+@example(np.tile(np.array([[1], [3], [1], [0], [3], [0]]), (1, 4)))
+@example(2 - np.eye(6, dtype=np.int64) * 2)
+@example(np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]]))
 def test_greedy_extract_matches_seed_loops(values):
     values = values.astype(float)  # small integers: many exact ties
     assert max_cells(Cddm("a", "b", values)) == seed_max_cells(values)
+    assert _greedy_extract(values, np.argmax) == seed_max_cells(values)
+    assert _greedy_extract(values, np.argmin) == seed_min_matching(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
+              elements=st.sampled_from([-np.inf, -1.5, 0.0, 0.25, 2.0, np.inf])))
+def test_greedy_extract_with_infinite_entries(values):
+    # A masked row or column holds the infinity that pick never prefers; it
+    # may tie a remaining infinite entry, but never changes what is picked.
     assert _greedy_extract(values, np.argmax) == seed_max_cells(values)
     assert _greedy_extract(values, np.argmin) == seed_min_matching(values)
 

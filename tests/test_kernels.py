@@ -7,6 +7,7 @@ bit, on both sides of the 8-term point where NumPy changes its summation
 order.
 """
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -106,3 +107,88 @@ def test_hamming_matrix_matches_stacked_mean(data):
     x = data.draw(arrays(np.float64, (n, d), elements=HAMMING_COORD))
     assert np.array_equal(hamming_matrix(x), oracle_hamming(x))
 
+
+
+def oracle_counting_hamming(x):
+    """The per-coordinate counting loop that ran for every column, verbatim."""
+    n, d = x.shape
+    count = np.zeros((n, n))
+    gap = np.empty((n, n))
+    differs = np.empty((n, n), dtype=bool)
+    for col in x.T:
+        np.subtract.outer(col, col, out=gap)
+        np.abs(gap, out=gap)
+        np.greater(gap, _HAMMING_TOL, out=differs)
+        count += differs
+    count /= d
+    return count
+
+
+def off_diagonal_ones(n):
+    return 1.0 - np.eye(n)
+
+
+# Values spread over many magnitudes, including gaps near the tolerance.
+WIDE_COORD = st.one_of(
+    COORD,
+    st.floats(-1e-7, 1e-7, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, _HAMMING_TOL, 2 * _HAMMING_TOL, 3.0, 3.0 + _HAMMING_TOL]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_all_distinct_shortcut_matches_counting(data):
+    d = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, 12))
+    x = data.draw(arrays(np.float64, (n, d), elements=WIDE_COORD, unique=True))
+    want = oracle_counting_hamming(x)
+    assert np.array_equal(hamming_matrix(x), want)
+    assert np.array_equal(hamming_matrix(x), oracle_hamming(x))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_all_distinct_columns_give_ones(d):
+    x = np.random.default_rng(d).standard_normal((30, d))
+    assert np.array_equal(hamming_matrix(x), off_diagonal_ones(30))
+    assert np.array_equal(hamming_matrix(x), oracle_counting_hamming(x))
+
+
+def test_repeated_values_are_counted():
+    x = np.array([[0.0, 1.0], [0.0, 2.0], [1.0, 2.0], [1.0, 2.0]])
+    got = hamming_matrix(x)
+    assert np.array_equal(got, oracle_counting_hamming(x))
+    assert got[0, 1] == 0.5 and got[2, 3] == 0.0 and got[0, 3] == 1.0
+
+
+@pytest.mark.parametrize("offset", [0.0, 3.0, -1e3])
+def test_gap_at_the_tolerance_and_one_ulp_either_side(offset):
+    # One pair of sort-neighbours sits exactly at, just below or just above
+    # the tolerance; the others are far apart. Only the gap above it makes
+    # the column all-distinct.
+    for gap, distinct in [(np.nextafter(_HAMMING_TOL, 0.0), False), (_HAMMING_TOL, False),
+                          (np.nextafter(_HAMMING_TOL, 1.0), True)]:
+        low = offset
+        high = low + gap
+        realised = high - low  # what the kernels compare; exact for close values
+        x = np.array([[5.0 + offset], [low], [high], [-5.0 + offset]])
+        got = hamming_matrix(x)
+        assert np.array_equal(got, oracle_counting_hamming(x))
+        assert got[1, 2] == (1.0 if realised > _HAMMING_TOL else 0.0)
+        if offset == 0.0:
+            assert (realised > _HAMMING_TOL) == distinct
+            assert np.array_equal(got, off_diagonal_ones(4)) == distinct
+
+
+def test_mix_of_distinct_and_tied_columns():
+    rng = np.random.default_rng(7)
+    n = 25
+    distinct = rng.standard_normal((n, 3))
+    tied = rng.integers(0, 3, (n, 2)).astype(float)
+    near = np.arange(n) * _HAMMING_TOL  # neighbours about the tolerance apart
+    assert not np.all(np.diff(near) > _HAMMING_TOL)
+    x = np.column_stack([distinct[:, 0], tied[:, 0], distinct[:, 1], near,
+                         tied[:, 1], distinct[:, 2]])
+    got = hamming_matrix(x)
+    assert np.array_equal(got, oracle_counting_hamming(x))
+    assert np.array_equal(got, oracle_hamming(x))
