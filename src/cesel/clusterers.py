@@ -378,27 +378,24 @@ def euclidean_matrix(x: np.ndarray) -> np.ndarray:
 def hamming_matrix(x: np.ndarray) -> np.ndarray:
     """Fraction of coordinates differing by more than a small tolerance.
 
-    A column whose sorted neighbours all lie more than the tolerance apart
-    separates every pair of samples: rounding a difference is monotone, so
-    no pair in it is closer than some pair of sort-neighbours. On
-    continuous features every column is such, and the result is d/d = 1
-    off the diagonal with nothing counted. Otherwise those columns add 1
-    to every off-diagonal count at once, and the rest are counted one
-    coordinate at a time in reused n x n buffers; a count of 0/1 values is
-    exact in any order, so this equals the mean over a stacked (n, n, d)
-    mask.
+    When every column's sorted neighbours lie more than the tolerance
+    apart, every pair differs in every coordinate: rounding a difference
+    is monotone, so no pair in a column is closer than some pair of
+    sort-neighbours. On continuous features that is the rule, and the
+    result is d/d = 1 off the diagonal with nothing counted. Otherwise
+    every column is counted one coordinate at a time in reused n x n
+    buffers; a count of 0/1 values is exact in any order, so this equals
+    the mean over a stacked (n, n, d) mask.
     """
     n, d = x.shape
-    distinct = np.all(np.diff(np.sort(x, axis=0), axis=0) > _HAMMING_TOL, axis=0)
-    if distinct.all():
+    if np.all(np.diff(np.sort(x, axis=0), axis=0) > _HAMMING_TOL):
         ones = np.ones((n, n))
         np.fill_diagonal(ones, 0.0)
         return ones
-    count = np.full((n, n), float(np.count_nonzero(distinct)))
-    np.fill_diagonal(count, 0.0)
+    count = np.zeros((n, n))
     gap = np.empty((n, n))
     differs = np.empty((n, n), dtype=bool)
-    for col in x.T[~distinct]:
+    for col in x.T:
         np.subtract.outer(col, col, out=gap)
         np.abs(gap, out=gap)
         np.greater(gap, _HAMMING_TOL, out=differs)

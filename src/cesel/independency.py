@@ -72,14 +72,20 @@ def _greedy_extract(values: np.ndarray, pick) -> list[float]:
     index. Stops after min(rows, cols) extractions.
 
     Deleting is masking: a picked row and column are filled with the value
-    ``pick`` never prefers (-inf for ``np.argmax``, +inf otherwise), and
-    ``pick`` scans the whole matrix in row-major order, which visits the
-    remaining entries in the order of the shrunken matrix. A masked entry
-    can only tie a remaining one that is itself infinite, and then every
-    later pick is that same infinity either way.
+    ``pick`` never prefers (-inf for ``np.argmax``, +inf for ``np.argmin``),
+    and ``pick`` scans the whole matrix in row-major order, which visits
+    the remaining entries in the order of the shrunken matrix. A masked
+    entry can only tie a remaining one that is itself infinite, and then
+    every later pick is that same infinity either way. Any other ``pick``
+    raises ValueError, since no mask value is known for it.
     """
+    if pick is np.argmax:
+        masked = -np.inf
+    elif pick is np.argmin:
+        masked = np.inf
+    else:
+        raise ValueError(f"pick must be np.argmax or np.argmin, not {pick!r}")
     left = np.array(values, dtype=float)
-    masked = -np.inf if pick is np.argmax else np.inf
     picked: list[float] = []
     for _ in range(min(left.shape)):
         r, c = divmod(int(pick(left)), left.shape[1])

@@ -6,9 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cesel import assets, clusterers
+from cesel import assets, clusterers, harness
 from cesel.clusterers import Dataset, Partition
-from cesel.consensus import PipelineConfig
+from cesel.consensus import PipelineConfig, run_ces
 from cesel.errors import AllMissingColumn, LengthMismatch, ParseError
 from cesel.harness import (
     AccuracyResult,
@@ -336,11 +336,27 @@ class TestSharedMemo:
             keys = [key for key, y in computed if y is x]
             assert keys and len(keys) == len(set(keys))
 
-    def test_sweep_builds_each_tree_once(self, monkeypatch):
+    def test_sweep_builds_each_tree_once_per_threshold(self, monkeypatch):
+        # Each threshold shares one memo across its repetitions and none with
+        # another threshold, so every row's wall time pays for the same kind
+        # of work: a repeated threshold recomputes exactly what it did before.
         computed = _counting_seed_free_work(monkeypatch)
-        sweep_dt(self.DATA, FULL_PIPELINE, (0.0, 0.2, 0.3), repetitions=2)
+        starts = []
+
+        def marking_run_ces(data, cfg):
+            starts.append(len(computed))
+            return run_ces(data, cfg)
+
+        monkeypatch.setattr(harness, "run_ces", marking_run_ces)
+        reps = 2
+        sweep_dt(self.DATA, FULL_PIPELINE, (0.0, 0.3, 0.0), repetitions=reps)
+        bounds = starts[::reps] + [len(computed)]
         keys = [key for key, _ in computed]
-        assert keys and len(keys) == len(set(keys))
+        segments = [keys[a:b] for a, b in zip(bounds, bounds[1:])]
+        assert len(segments) == 3
+        for seg in segments:
+            assert seg and len(seg) == len(set(seg))
+        assert segments[0] == segments[2]
         assert self.DATA._memo is None
 
     def test_sharing_leaves_results_unchanged(self, monkeypatch):

@@ -351,6 +351,13 @@ def test_greedy_extract_with_infinite_entries(values):
     assert _greedy_extract(values, np.argmin) == seed_min_matching(values)
 
 
+@pytest.mark.parametrize("pick", [np.nanargmax, lambda v: int(np.argmax(v)), max])
+def test_greedy_extract_rejects_other_picks(pick):
+    # The mask value is only known for np.argmax and np.argmin.
+    with pytest.raises(ValueError, match="np.argmax or np.argmin"):
+        _greedy_extract(np.eye(3), pick)
+
+
 def _sorted_greedy(dist):
     order = sorted(
         ((dist[i, j], i, j) for i in range(dist.shape[0]) for j in range(dist.shape[1])),
