@@ -21,6 +21,7 @@ from .cail import (
 )
 from .clusterers import (
     ALGORITHM_IDS,
+    BasicParams,
     ClustererConfig,
     Dataset,
     Partition,
@@ -56,7 +57,6 @@ from .harness import (
 )
 from .independency import (
     Aidm,
-    BasicParams,
     Cddm,
     ai_weights,
     aid,

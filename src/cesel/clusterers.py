@@ -16,7 +16,6 @@ import numpy as np
 
 from ._agglo import cut_merges, linkage_merge
 from .errors import AllMissingColumn, DegenerateSpectrum, InvalidK
-from .independency import BasicParams
 
 KMEANS_ID = "K"
 FCM_ID = "F"
@@ -121,6 +120,28 @@ class ClustererConfig:
             raise ValueError("seed must be a non-negative integer")
 
 
+@dataclass(frozen=True)
+class BasicParams:
+    """The randomized starting parameters of one clusterer run."""
+
+    algorithm_id: str
+    rows: np.ndarray  # (r, d), finite
+
+    def __post_init__(self):
+        object.__setattr__(self, "rows", np.atleast_2d(np.asarray(self.rows, dtype=float)))
+        if self.rows.size == 0:
+            raise ValueError("basic parameters need at least one row")
+        if not np.isfinite(self.rows).all():
+            raise ValueError("basic parameters must be finite")
+
+    def to_dict(self) -> dict:
+        return {"algorithm_id": self.algorithm_id, "rows": self.rows.tolist()}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "BasicParams":
+        return cls(d["algorithm_id"], np.asarray(d["rows"], dtype=float))
+
+
 def preprocess(
     raw,
     labels=None,
@@ -174,6 +195,10 @@ def _memoized(data: Dataset, key, compute):
 # reduction per output element.
 _SEQUENTIAL_TERMS = 7
 
+# Centroids per block of the stacked differences in _sq_distances, which
+# bounds that temporary at _SQ_BLOCK_ROWS * n * d floats.
+_SQ_BLOCK_ROWS = 32
+
 
 def _sq_distances(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Squared distances (k x n) from each of k centroids to each of n samples.
@@ -181,13 +206,18 @@ def _sq_distances(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     Bit for bit the stacked ``diff = x[None, :, :] - centroids[:, None, :]``
     summed as ``(diff * diff).sum(axis=-1)``: up to ``_SEQUENTIAL_TERMS``
     coordinates are added one (k, n) array at a time, longer sums use the
-    reduction itself. Each centroid's row is contiguous, which is the
-    layout the fuzzy loop works in; ``(a - b)**2`` equals ``(b - a)**2``
+    reduction itself, over blocks of centroids, which leave each sum as it
+    is. Each centroid's row is contiguous, which is the layout the fuzzy
+    loop works in; ``(a - b)**2`` equals ``(b - a)**2``
     exactly, so ``_sq_distances(x, x)`` is exactly symmetric.
     """
     if x.shape[1] > _SEQUENTIAL_TERMS:
-        diff = x[None, :, :] - centroids[:, None, :]
-        return (diff * diff).sum(axis=-1)
+        out = np.empty((len(centroids), len(x)))
+        for start in range(0, len(centroids), _SQ_BLOCK_ROWS):
+            block = slice(start, start + _SQ_BLOCK_ROWS)
+            diff = x[None, :, :] - centroids[block, None, :]
+            np.multiply(diff, diff, out=diff).sum(axis=-1, out=out[block])
+        return out
     columns = np.ascontiguousarray(x.T)
     diff = columns[0] - centroids[:, 0, None]
     acc = diff * diff

@@ -21,6 +21,7 @@ from . import assets
 from ._agglo import cut_merges, linkage_merge
 from .clusterers import (
     ALGORITHM_IDS,
+    BasicParams,
     ClustererConfig,
     Dataset,
     Partition,
@@ -35,7 +36,7 @@ from .errors import (
     InvalidK,
     WeightMismatch,
 )
-from .independency import Aidm, BasicParams, ai_weights, load_aidm_csv, reference_aidm
+from .independency import Aidm, ai_weights, load_aidm_csv, reference_aidm
 
 
 @dataclass(frozen=True)
@@ -163,20 +164,21 @@ def fuse(committee: list[CommitteeEntry], weights: np.ndarray, k: int) -> Partit
     The result is labelled in order of each cluster's smallest sample
     index, as :func:`cut` labels the dense tree.
 
-    When u < k the representatives cannot make k clusters, and the dense
-    ``cut(average_linkage(weac(committee, weights)), k)`` runs instead;
+    When u < k the representatives cannot make k clusters, so every
+    sample becomes its own representative (unit sizes), and the same calls
+    give the dense ``cut(average_linkage(weac(committee, weights)), k)``;
     that includes all-zero weights (u = 1).
 
-    The two paths agree in exact arithmetic. In floating point the dense
-    merge's average update drifts by ulps on equal rows, while the fused
-    merge starts from one undrifted row per signature; where merges tie
-    exactly, the two can therefore take another merge order and cut
-    another partition.
+    The fused and dense merges agree in exact arithmetic. In floating point
+    the dense merge's average update drifts by ulps on equal rows, while
+    the fused merge starts from one undrifted row per signature; where
+    merges tie exactly, the two can therefore take another merge order and
+    cut another partition.
     """
     weights = _checked_weights(committee, weights)
     first, inverse = _signatures(_labels(committee)[:, weights > 0])
     if len(first) < k:
-        return cut(average_linkage(weac(committee, weights)), k)
+        first = inverse = np.arange(len(inverse))
     representatives = [
         replace(e, partition=Partition(e.partition.assignments[first], e.partition.k))
         for e in committee

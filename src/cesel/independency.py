@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
@@ -20,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .cail import GraphArray
+from .clusterers import BasicParams, _sq_distances
 from .errors import (
     CommitteeTooSmall,
     DimensionMismatch,
@@ -63,41 +65,33 @@ def build_cddm(a: GraphArray, b: GraphArray) -> Cddm:
     return Cddm(a.name, b.name, values)
 
 
-def _greedy_extract(values: np.ndarray, pick) -> list[float]:
-    """Greedy one-to-one extraction of matrix entries.
+def _greedy_extract(values: np.ndarray) -> list[float]:
+    """Greedy one-to-one extraction of matrix minima, smallest first.
 
-    Repeatedly takes the entry that ``pick`` (``np.argmax`` or
-    ``np.argmin``) selects from what is left, then deletes its row and
+    Repeatedly takes the smallest entry left, then deletes its row and
     column; ties go to the smallest row index, then the smallest column
     index. Stops after min(rows, cols) extractions.
 
-    Deleting is masking: a picked row and column are filled with the value
-    ``pick`` never prefers (-inf for ``np.argmax``, +inf for ``np.argmin``),
-    and ``pick`` scans the whole matrix in row-major order, which visits
+    Deleting is masking: a picked row and column are filled with +inf, and
+    ``np.argmin`` scans the whole matrix in row-major order, which visits
     the remaining entries in the order of the shrunken matrix. A masked
-    entry can only tie a remaining one that is itself infinite, and then
-    every later pick is that same infinity either way. Any other ``pick``
-    raises ValueError, since no mask value is known for it.
+    entry can only tie a remaining entry that is itself +inf, and then
+    every later pick is +inf either way.
     """
-    if pick is np.argmax:
-        masked = -np.inf
-    elif pick is np.argmin:
-        masked = np.inf
-    else:
-        raise ValueError(f"pick must be np.argmax or np.argmin, not {pick!r}")
     left = np.array(values, dtype=float)
     picked: list[float] = []
     for _ in range(min(left.shape)):
-        r, c = divmod(int(pick(left)), left.shape[1])
+        r, c = divmod(int(np.argmin(left)), left.shape[1])
         picked.append(float(left[r, c]))
-        left[r, :] = masked
-        left[:, c] = masked
+        left[r, :] = np.inf
+        left[:, c] = np.inf
     return picked
 
 
 def max_cells(cddm: Cddm) -> list[float]:
-    """Greedy extraction of matrix maxima (see :func:`_greedy_extract`)."""
-    return _greedy_extract(cddm.values, np.argmax)
+    """Greedy extraction of matrix maxima: the negated matrix's minima, negated
+    back (see :func:`_greedy_extract`), which is exact and keeps every tie."""
+    return [-v for v in _greedy_extract(-cddm.values)]
 
 
 def aid(a: GraphArray, b: GraphArray) -> float:
@@ -211,28 +205,6 @@ def reference_aidm() -> Aidm:
 
 # --- run-level independency ---------------------------------------------------
 
-@dataclass(frozen=True)
-class BasicParams:
-    """The randomized starting parameters of one clusterer run."""
-
-    algorithm_id: str
-    rows: np.ndarray  # (r, d), finite
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", np.atleast_2d(np.asarray(self.rows, dtype=float)))
-        if self.rows.size == 0:
-            raise ValueError("basic parameters need at least one row")
-        if not np.isfinite(self.rows).all():
-            raise ValueError("basic parameters must be finite")
-
-    def to_dict(self) -> dict:
-        return {"algorithm_id": self.algorithm_id, "rows": self.rows.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BasicParams":
-        return cls(d["algorithm_id"], np.asarray(d["rows"], dtype=float))
-
-
 def bpi(p1: BasicParams, p2: BasicParams) -> float:
     """Run-level independency of two same-algorithm runs, in [0, 1).
 
@@ -240,7 +212,8 @@ def bpi(p1: BasicParams, p2: BasicParams) -> float:
     of the pairwise Euclidean distance matrix, drop its row and column,
     repeat until one side is exhausted. The mean matched distance ``t``
     is squashed to ``t / (1 + t)`` so identical runs score 0 and the
-    score stays bounded.
+    score stays bounded. Symmetric bit for bit: swapping the runs
+    transposes the distances exactly, and the ascending picks are the same.
     """
     if p1.algorithm_id != p2.algorithm_id:
         raise DimensionMismatch(
@@ -251,9 +224,7 @@ def bpi(p1: BasicParams, p2: BasicParams) -> float:
         raise DimensionMismatch(
             f"parameter dimensionality differs: {p1.rows.shape[1]} vs {p2.rows.shape[1]}"
         )
-    diff = p1.rows[:, None, :] - p2.rows[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    t = float(np.mean(_greedy_extract(dist, np.argmin)))
+    t = float(np.mean(_greedy_extract(np.sqrt(_sq_distances(p2.rows, p1.rows)))))
     return t / (1.0 + t)
 
 
@@ -262,28 +233,22 @@ def ai_weights(committee, aidm: Aidm) -> np.ndarray:
 
     For entries from different algorithms the pair score is the matrix
     lookup; for entries from the same algorithm it is the run-level
-    :func:`bpi`. Each weight lands in [0, 1].
+    :func:`bpi`, scored once per unordered pair. Each weight is the mean of
+    its row of pair scores without the diagonal, and lands in [0, 1].
 
     ``committee`` is a sequence of objects with ``algorithm_id`` and
     ``basic_params`` attributes (see :class:`cesel.consensus.CommitteeEntry`).
     """
     if len(committee) < 2:
         raise CommitteeTooSmall("independency weights need at least two entries")
-    for entry in committee:
-        aidm.index(entry.algorithm_id)  # raises UnknownAlgorithm
-    n = len(committee)
-    weights = np.empty(n)
-    for i, p in enumerate(committee):
-        scores = []
-        for j, q in enumerate(committee):
-            if i == j:
-                continue
-            if p.algorithm_id == q.algorithm_id:
-                scores.append(bpi(*_pad_to_common(p.basic_params, q.basic_params)))
-            else:
-                scores.append(aidm.lookup(p.algorithm_id, q.algorithm_id))
-        weights[i] = float(np.mean(scores))
-    return weights
+    index = [aidm.index(entry.algorithm_id) for entry in committee]  # raises UnknownAlgorithm
+    scores = aidm.values[np.ix_(index, index)]
+    m = len(committee)
+    for i, j in itertools.combinations(range(m), 2):
+        if index[i] == index[j]:
+            pair = _pad_to_common(committee[i].basic_params, committee[j].basic_params)
+            scores[i, j] = scores[j, i] = bpi(*pair)
+    return scores[~np.eye(m, dtype=bool)].reshape(m, m - 1).mean(axis=1)
 
 
 def _pad_to_common(p1: BasicParams, p2: BasicParams) -> tuple[BasicParams, BasicParams]:

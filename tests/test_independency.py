@@ -21,6 +21,7 @@ from cesel.independency import (
     BasicParams,
     Cddm,
     _greedy_extract,
+    _pad_to_common,
     ai_weights,
     aid,
     bpi,
@@ -337,25 +338,69 @@ def seed_min_matching(dist):
 def test_greedy_extract_matches_seed_loops(values):
     values = values.astype(float)  # small integers: many exact ties
     assert max_cells(Cddm("a", "b", values)) == seed_max_cells(values)
-    assert _greedy_extract(values, np.argmax) == seed_max_cells(values)
-    assert _greedy_extract(values, np.argmin) == seed_min_matching(values)
+    assert _greedy_extract(values) == seed_min_matching(values)
 
 
 @settings(max_examples=300, deadline=None)
 @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
               elements=st.sampled_from([-np.inf, -1.5, 0.0, 0.25, 2.0, np.inf])))
 def test_greedy_extract_with_infinite_entries(values):
-    # A masked row or column holds the infinity that pick never prefers; it
-    # may tie a remaining infinite entry, but never changes what is picked.
-    assert _greedy_extract(values, np.argmax) == seed_max_cells(values)
-    assert _greedy_extract(values, np.argmin) == seed_min_matching(values)
+    # A masked row or column holds +inf, which argmin never prefers; it may
+    # tie a remaining infinite entry, but never changes what is picked.
+    assert max_cells(Cddm("a", "b", values)) == seed_max_cells(values)
+    assert _greedy_extract(values) == seed_min_matching(values)
 
 
-@pytest.mark.parametrize("pick", [np.nanargmax, lambda v: int(np.argmax(v)), max])
-def test_greedy_extract_rejects_other_picks(pick):
-    # The mask value is only known for np.argmax and np.argmin.
-    with pytest.raises(ValueError, match="np.argmax or np.argmin"):
-        _greedy_extract(np.eye(3), pick)
+@st.composite
+def param_rows(draw, width):
+    """Parameter rows with ties: mostly small integers, some rows repeated."""
+    value = st.one_of(st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0]), st.floats(-10.0, 10.0))
+    pool = draw(arrays(np.float64, (draw(st.integers(1, 4)), width), elements=value))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=7))
+    return pool[picks]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_bpi_is_symmetric_bit_for_bit(data):
+    # unequal widths meet through _pad_to_common, as in ai_weights; widths
+    # from 8 on take the distance kernel's stacked sum
+    p = BasicParams("SPS", data.draw(param_rows(data.draw(st.integers(1, 9)))))
+    q = BasicParams("SPS", data.draw(param_rows(data.draw(st.integers(1, 9)))))
+    p, q = _pad_to_common(p, q)
+    assert bpi(p, q) == bpi(q, p)
+
+
+def seed_ai_weights(committee, aidm):
+    """``ai_weights`` as it stood before scoring each pair once: both orders of every pair."""
+    n = len(committee)
+    weights = np.empty(n)
+    for i, p in enumerate(committee):
+        scores = []
+        for j, q in enumerate(committee):
+            if i == j:
+                continue
+            if p.algorithm_id == q.algorithm_id:
+                scores.append(bpi(*_pad_to_common(p.basic_params, q.basic_params)))
+            else:
+                scores.append(aidm.lookup(p.algorithm_id, q.algorithm_id))
+        weights[i] = float(np.mean(scores))
+    return weights
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_ai_weights_match_seed_loop(data):
+    # committees up to 21 entries reach the 8-term point of the row means;
+    # few algorithms make most pairs same-algorithm ones
+    algorithms = data.draw(st.lists(st.sampled_from(["K", "F", "SPS", "ALE"]),
+                                    min_size=2, max_size=21))
+    committee = [
+        entry(alg, data.draw(param_rows(data.draw(st.integers(1, 3)))), i)
+        for i, alg in enumerate(algorithms)
+    ]
+    aidm = reference_aidm()
+    assert np.array_equal(ai_weights(committee, aidm), seed_ai_weights(committee, aidm))
 
 
 def _sorted_greedy(dist):

@@ -6,6 +6,8 @@ broadcast expressions, kept verbatim; every kernel must equal them bit for
 bit, on both sides of the 8-term point where NumPy changes its summation
 order.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -50,11 +52,26 @@ def points(draw, max_rows=12):
 @settings(max_examples=300, deadline=None)
 @given(x=points(), data=st.data())
 def test_sq_distances_match_broadcast_sum(x, data):
-    k = data.draw(st.integers(1, 10))
+    # up to two full blocks of centroids and one more (see _SQ_BLOCK_ROWS)
+    k = data.draw(st.integers(1, 2 * clusterers._SQ_BLOCK_ROWS + 1))
     centroids = data.draw(arrays(np.float64, (k, x.shape[1]), elements=COORD))
     # the kernel returns the (k, n) layout the clusterers work in
     assert np.array_equal(clusterers._sq_distances(x, centroids),
                           oracle_sq_distances(x, centroids).T)
+
+
+def test_sq_distances_memory_is_bounded():
+    # Stacking all 1500 centroids at d=12 would take two (1500, 1500, 12)
+    # temporaries, 216 MB each; in blocks the peak is the n x n result, its
+    # square root and one block.
+    x = np.random.default_rng(0).normal(size=(1500, 12))
+    tracemalloc.start()
+    try:
+        euclidean_matrix(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * x.shape[0] ** 2 * 8
 
 
 @settings(max_examples=200, deadline=None)
