@@ -25,21 +25,9 @@ rows whose cached minimum pointed at a merged cluster and grew. That
 costs O(n^2) in the typical case and O(n^3) in the worst case, when most
 rows must rescan at most steps.
 
-A matrix whose off-diagonal entries all equal one value c skips the loop.
-On continuous features every Hamming distance is 1, so every ``?LH``
-clusterer meets this case. The loop's tree there is a fixed chain: merge
-(0, 1), then (2, n), (3, n+1), ..., every height c, sizes the running
-sums of the starting sizes. Each cut of it leaves the last k-1 samples in
-input order as singletons. The chain is returned in closed form only
-where it is the loop's tree bit for bit: for single and complete linkage
-at every c, since min and max keep c exactly; for average and Ward
-linkage only at c = 0 or 1, where their updates, (si*c + sj*c)/(si + sj)
-and Ward's square root, return c exactly. At most other values (of the 45
-fractions j/d in (0, 1) with d <= 12, 38 for average and 36 for Ward at
-n = 200) those updates drift from c by an ulp, the drift reorders the
-loop's merges, and so such matrices go through the loop. The consensus
-merge, an average linkage, takes the chain when its dissimilarity is
-constant at 0 or 1.
+:func:`chain_tree` is the loop's tree when every pairwise distance is 1,
+the Hamming case of continuous features, for every method: there every
+update returns exactly 1, so the loop only follows its tie rule.
 """
 from __future__ import annotations
 
@@ -85,13 +73,6 @@ def linkage_merge(
     node_id = list(range(n))        # slot -> current cluster id
     row_arg = d.argmin(axis=1)      # slot -> smallest column holding the row minimum
     row_min = d[np.arange(n), row_arg]
-    level = row_min[0]
-    if (
-        (row_min == level).all()
-        and (method in ("single", "complete") or level in (0.0, 1.0))
-        and np.count_nonzero(d == level) == n * (n - 1)
-    ):
-        return _chain(n, float(level), size)
     merges = np.empty((n - 1, 4))
 
     for step in range(n - 1):
@@ -141,20 +122,16 @@ def linkage_merge(
     return merges
 
 
-def _chain(n: int, level: float, size: np.ndarray) -> np.ndarray:
-    """The loop's tree on a matrix whose off-diagonal entries all equal ``level``.
+def chain_tree(n: int) -> np.ndarray:
+    """The merge tree of n >= 2 samples whose pairwise distances all equal 1.
 
     Every row's first minimum is column 0, or slot 0 once merged into, so
-    each step merges slot 0 with the smallest active slot: (0, 1), then
-    (2, n), (3, n+1), ...; the update keeps every entry at ``level``.
+    the loop merges (0, 1), then (2, n), (3, n+1), ..., every height 1 and
+    sizes 2..n; a cut at k leaves the last k-1 samples as singletons.
     """
-    merges = np.empty((n - 1, 4))
-    merges[0, :2] = 0, 1
-    merges[1:, 0] = np.arange(2, n)
-    merges[1:, 1] = np.arange(n, 2 * n - 2)
-    merges[:, 2] = level
-    merges[:, 3] = np.cumsum(size)[1:]
-    return merges
+    return np.column_stack(
+        [np.r_[0, 2:n], np.r_[1, n:2 * n - 2], np.ones(n - 1), np.arange(2.0, n + 1)]
+    )
 
 
 def cut_merges(tree: np.ndarray, k: int) -> np.ndarray:

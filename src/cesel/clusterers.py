@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._agglo import cut_merges, linkage_merge
+from ._agglo import chain_tree, cut_merges, linkage_merge
 from .errors import AllMissingColumn, DegenerateSpectrum, InvalidK
 
 KMEANS_ID = "K"
@@ -306,8 +306,9 @@ def _memberships(d2: np.ndarray, inv: np.ndarray, out: np.ndarray) -> np.ndarray
 
     Bit for bit the same as the (n x k) expression ``d2 ** -1.0``, summed
     per row and divided: NumPy computes that power as the reciprocal, and
-    the k column terms are added one row at a time up to 7 terms, or
-    reduced as a C-order (n, k) copy from 8 on (see ``_SEQUENTIAL_TERMS``).
+    adds the k column terms in order up to 7 terms, as the outer-axis sum
+    of the C-order (k, n) array does one row at a time, or reduces them
+    as a C-order (n, k) copy from 8 on (see ``_SEQUENTIAL_TERMS``).
     Zero-distance entries are left out of the reciprocal, so nothing
     divides by zero; their columns are overwritten at the end.
     """
@@ -316,13 +317,10 @@ def _memberships(d2: np.ndarray, inv: np.ndarray, out: np.ndarray) -> np.ndarray
     np.divide(1.0, d2, out=inv, where=~zero if any_zero else True)
     if any_zero:
         inv[zero] = 1.0  # any finite positive value keeps the totals finite
-    k = d2.shape[0]
-    if k > _SEQUENTIAL_TERMS:
+    if d2.shape[0] > _SEQUENTIAL_TERMS:
         total = np.ascontiguousarray(inv.T).sum(axis=1)
     else:
-        total = inv[0].copy()
-        for j in range(1, k):
-            total += inv[j]
+        total = inv.sum(axis=0)
     np.divide(inv, total, out=out)
     if any_zero:
         zero_cols = zero.any(axis=0)
@@ -408,20 +406,11 @@ def euclidean_matrix(x: np.ndarray) -> np.ndarray:
 def hamming_matrix(x: np.ndarray) -> np.ndarray:
     """Fraction of coordinates differing by more than a small tolerance.
 
-    When every column's sorted neighbours lie more than the tolerance
-    apart, every pair differs in every coordinate: rounding a difference
-    is monotone, so no pair in a column is closer than some pair of
-    sort-neighbours. On continuous features that is the rule, and the
-    result is d/d = 1 off the diagonal with nothing counted. Otherwise
-    every column is counted one coordinate at a time in reused n x n
+    Every column is counted one coordinate at a time in reused n x n
     buffers; a count of 0/1 values is exact in any order, so this equals
     the mean over a stacked (n, n, d) mask.
     """
     n, d = x.shape
-    if np.all(np.diff(np.sort(x, axis=0), axis=0) > _HAMMING_TOL):
-        ones = np.ones((n, n))
-        np.fill_diagonal(ones, 0.0)
-        return ones
     count = np.zeros((n, n))
     gap = np.empty((n, n))
     differs = np.empty((n, n), dtype=bool)
@@ -447,19 +436,23 @@ def cosine_matrix(x: np.ndarray) -> np.ndarray:
     np.fill_diagonal(dist, 0.0)
     return np.maximum(dist, 0.0)
 
-_DISTANCE_FNS = {"E": euclidean_matrix, "H": hamming_matrix, "C": cosine_matrix}
-
 
 def _linkage_tree(x: np.ndarray, alg: str) -> np.ndarray:
     """The (n-1, 4) merge tree of linkage ID ``alg`` on samples ``x``."""
-    dist, method = _DISTANCE_FNS[alg[2]](x), _LINKAGE_NAMES[alg[0]]
+    method = _LINKAGE_NAMES[alg[0]]
     if alg[2] == "H":
-        return linkage_merge(dist, method)
+        # Sorted neighbours more than the tolerance apart in every column:
+        # rounding a difference is monotone, so no pair is closer than some
+        # pair of neighbours, and every Hamming distance is d/d = 1.
+        if np.all(np.diff(np.sort(x, axis=0), axis=0) > _HAMMING_TOL):
+            return chain_tree(len(x))
+        return linkage_merge(hamming_matrix(x), method)
     # Imported on first use: scipy.cluster loads scipy.spatial (~50 ms),
     # which runs and commands without such a linkage need not pay.
     from scipy.cluster.hierarchy import linkage
     from scipy.spatial.distance import squareform
 
+    dist = euclidean_matrix(x) if alg[2] == "E" else cosine_matrix(x)
     return linkage(squareform(dist, checks=False), method)
 
 
@@ -474,10 +467,10 @@ def run_linkage(data: Dataset, cfg: ClustererConfig) -> tuple[Partition, BasicPa
 
     Hamming distances are multiples of 1/d and tie by construction, so
     the ``?LH`` IDs merge on the exact engine of :mod:`cesel._agglo`,
-    whose row-major tie rule then decides the partition. On continuous
-    features all Hamming distances are 1, and the engine returns its
-    tree for a constant matrix in closed form: a chain whose cuts leave
-    the last k-1 samples, in input order, as singletons. Euclidean and
+    whose row-major tie rule then decides the partition. Where no two
+    samples share a coordinate, every Hamming distance is 1 and the tree
+    is the engine's ``chain_tree``, built without a distance matrix; its
+    cuts leave the last k-1 samples as singletons. Euclidean and
     cosine IDs merge on scipy's compiled ``linkage`` (Müllner's MST and
     NN-chain algorithms). Either linkage matrix goes to the one cut,
     ``cut_merges``. On tie-free distances both give the same partition

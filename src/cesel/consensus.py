@@ -205,6 +205,9 @@ class PipelineConfig:
         unknown = set(self.roster) - set(ALGORITHM_IDS)
         if unknown:
             raise ValueError(f"unknown algorithm IDs: {sorted(unknown)}")
+        repeated = {a for a in self.roster if self.roster.count(a) > 1}
+        if repeated:
+            raise ValueError(f"repeated algorithm IDs: {sorted(repeated)}")
         if self.k_final < 2:
             raise ValueError("final cluster count must be >= 2")
         if self.seed < 0:

@@ -4,8 +4,9 @@ The first oracle below is the original engine: at every step it copies
 the active submatrix and takes its row-major first minimum. The cached
 engine must reproduce its linkage matrix exactly (same pairs,
 bit-identical heights) for every method, above all on tie-heavy inputs.
-A matrix with one off-diagonal value takes the engine's closed-form chain
-where that chain is exact; the tests check it against the same oracle.
+On a matrix with one off-diagonal value the engine's tree is a chain;
+at value 1, the Hamming distances of continuous features, ``chain_tree``
+builds it without a matrix and must equal the engine's tree.
 The second oracle is the original cut, a Python union-find over the
 merge records; the vectorised cut must label every tree as it does, for
 the engine's trees and scipy's.
@@ -18,7 +19,7 @@ from scipy.cluster.hierarchy import linkage
 from scipy.spatial.distance import squareform
 
 from cesel import assets
-from cesel._agglo import LINKAGE_METHODS, cut_merges, linkage_merge
+from cesel._agglo import LINKAGE_METHODS, chain_tree, cut_merges, linkage_merge
 from cesel.clusterers import cosine_matrix, euclidean_matrix, hamming_matrix
 from cesel.errors import InvalidK
 from cesel.harness import load_csv
@@ -223,6 +224,12 @@ def test_constant_matrix_merges_as_the_oracle(n, level, data):
             assert np.array_equal(unit_tree[len(unit_tree) - len(tree):, 2:], tree[:, 2:])
             for k in range(1, n + 1):
                 assert np.array_equal(cut_merges(tree, k)[group], cut_merges(unit_tree, k))
+
+
+@pytest.mark.parametrize("method", LINKAGE_METHODS)
+def test_chain_tree_is_the_loop_tree_at_level_one(method):
+    for n in range(2, 61):
+        assert np.array_equal(chain_tree(n), linkage_merge(_constant(n, 1.0), method)), n
 
 
 @settings(max_examples=100, deadline=None)

@@ -9,9 +9,11 @@ pipeline no longer calls loses its metrics the same way.
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cesel import consensus
+from cesel.clusterers import preprocess
 from cesel.harness import gen_blobs, gen_half_ring
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -31,8 +33,10 @@ def test_pipeline_calls_the_consensus_targets():
     tracer = spans.Tracer()
     tracer.install()
     try:
+        # Rounded coordinates tie, so ALH merges on the engine, not the chain.
+        blobs = gen_blobs(20, [[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]], 1.0, seed=5)
         consensus.run_ces(
-            gen_blobs(20, [[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]], 1.0, seed=5),
+            preprocess(np.round(blobs.raw)),
             consensus.PipelineConfig(k_final=3, d_threshold=0.0, committee_target=4,
                                      max_attempts=8, roster=("K", "ALH"), vary_k=True),
         )

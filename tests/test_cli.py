@@ -76,6 +76,18 @@ def test_unknown_roster_id_is_usage_error(iris_path):
     assert rc == 1
 
 
+def test_repeated_roster_id_is_usage_error_before_any_run(iris_path, capsys, monkeypatch):
+    def no_run(*args):
+        raise AssertionError("run_ces must not start")
+
+    monkeypatch.setattr("cesel.cli.run_ces", no_run)
+    rc = main(["run", "--data", iris_path, "--label", "species", "--k", "3",
+               "--roster", "K,K"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "usage error: repeated algorithm IDs: ['K']\n"
+
+
 def test_baseline_command(ring_csv, capsys):
     rc = main(["baseline", "--method", "kmeans", "--data", ring_csv,
                "--label", "label", "--k", "2", "--reps", "2", "--seed", "1"])

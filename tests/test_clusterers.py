@@ -21,7 +21,7 @@ from cesel.clusterers import (
     run_linkage,
     run_spectral_sparse,
 )
-from cesel.errors import AllMissingColumn
+from cesel.errors import AllMissingColumn, InvalidK
 from cesel.harness import accuracy, gen_blobs, gen_half_ring
 from cesel.independency import bpi
 
@@ -183,12 +183,30 @@ class TestLinkage:
             return linkage_merge(dissimilarity, method)
 
         monkeypatch.setattr(clusterers, "linkage_merge", counting)
-        data = gen_blobs(8, [[0, 0], [5, 5], [0, 9]], 0.4, seed=9)
+        blobs = gen_blobs(8, [[0, 0], [5, 5], [0, 9]], 0.4, seed=9)
+        for alg in LINKAGE_IDS:  # continuous: the Hamming IDs chain without the engine
+            run_linkage(blobs, ClustererConfig(alg, k=3, seed=0))
+        assert reached == []
+        data = preprocess(np.round(blobs.raw))  # tied coordinates
         for alg in LINKAGE_IDS:
             before = len(reached)
             run_linkage(data, ClustererConfig(alg, k=3, seed=0))
             assert len(reached) - before == (alg[2] == "H"), alg
         assert sorted(reached) == ["average", "complete", "single", "ward"]
+
+    @pytest.mark.parametrize("alg", [alg for alg in LINKAGE_IDS if alg[2] == "H"])
+    def test_hamming_ids_chain_without_a_distance_matrix(self, alg, monkeypatch):
+        # All-distinct columns: the tree is chain_tree(n), neither counted nor merged.
+        def forbidden(*args):
+            raise AssertionError("no n x n Hamming work on all-distinct data")
+
+        monkeypatch.setattr(clusterers, "hamming_matrix", forbidden)
+        monkeypatch.setattr(clusterers, "linkage_merge", forbidden)
+        n = 30
+        data = gen_half_ring(n, 0.05, seed=5)
+        for k in range(1, n + 1):
+            part, _ = run_linkage(data, ClustererConfig(alg, k=k, seed=0))
+            assert np.array_equal(part.assignments, np.r_[np.zeros(n + 1 - k), np.arange(1, k)]), k
 
     @pytest.mark.parametrize("alg", [alg for alg in LINKAGE_IDS if alg[2] == "H"])
     def test_hamming_ids_chain_on_continuous_data(self, alg):
@@ -317,6 +335,13 @@ class TestContracts:
     def test_k_larger_than_n_rejected(self):
         with pytest.raises(ValueError):
             run_kmeans(RECTANGLE, ClustererConfig("K", k=5, seed=0))
+
+    @pytest.mark.parametrize("alg", ALGORITHM_IDS)
+    def test_k_above_n_raises_before_any_memoized_work(self, alg):
+        data = gen_blobs(4, [[0, 0], [4, 4]], 0.5, seed=43).with_memo()
+        with pytest.raises(InvalidK):
+            run_algorithm(data, ClustererConfig(alg, k=data.n + 1, seed=0))
+        assert data._memo == {}
 
     def test_partition_validation(self):
         with pytest.raises(ValueError):

@@ -437,6 +437,8 @@ class TestRunCes:
             PipelineConfig(k_final=2, consensus="mcla")
         with pytest.raises(ValueError, match=r"unknown algorithm IDs: \['BOGUS'\]"):
             PipelineConfig(k_final=2, roster=("K", "BOGUS"))
+        with pytest.raises(ValueError, match=r"repeated algorithm IDs: \['K'\]"):
+            PipelineConfig(k_final=2, roster=("K", "F", "K"))
 
 
 RING = gen_half_ring(60, 0.05, seed=11)
@@ -481,12 +483,13 @@ class TestCandidateRuns:
         engine, compiled = clusterers.linkage_merge, scipy.cluster.hierarchy.linkage
 
         def counting(build):
-            def counted(dist, method):
-                built.append(method)
-                return build(dist, method)
+            def counted(*args):
+                built.append(build)
+                return build(*args)
             return counted
 
         monkeypatch.setattr(clusterers, "linkage_merge", counting(engine))
+        monkeypatch.setattr(clusterers, "chain_tree", counting(clusterers.chain_tree))
         monkeypatch.setattr(scipy.cluster.hierarchy, "linkage", counting(compiled))
         seen = _recording(monkeypatch)
         cfg = PipelineConfig(k_final=2, d_threshold=0.35, committee_target=8,
