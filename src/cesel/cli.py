@@ -20,6 +20,7 @@ from .clusterers import Dataset
 from .errors import (
     AllMissingColumn,
     CeselError,
+    ColumnOverflow,
     CommitteeTooSmall,
     DataFileError,
     EmptyGraph,
@@ -274,7 +275,7 @@ def main(argv=None) -> int:
     except InvalidK as exc:
         click.echo(f"usage error: {exc}", err=True)
         return 1
-    except (ParseError, AllMissingColumn, DataFileError,
+    except (ParseError, AllMissingColumn, ColumnOverflow, DataFileError,
             UnknownSymbol, StructureError, EmptyGraph) as exc:
         click.echo(f"data error: {exc}", err=True)
         return 2

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from ._agglo import chain_tree, cut_merges, linkage_merge
-from .errors import AllMissingColumn, DegenerateSpectrum, InvalidK
+from .errors import AllMissingColumn, ColumnOverflow, DegenerateSpectrum, InvalidK
 
 KMEANS_ID = "K"
 FCM_ID = "F"
@@ -152,22 +152,26 @@ def preprocess(
     Standardization uses the population standard deviation (divide by n),
     so a two-value column [1, 3] maps to [-1, 1]. Zero-variance columns
     map to all zeros. A column with no observed value at all raises
-    :class:`AllMissingColumn`.
+    :class:`AllMissingColumn`, one whose mean or variance overflows
+    float64 :class:`ColumnOverflow`.
     """
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 2:
         raise ValueError("raw samples must be a 2-d matrix")
+    names = [feature_names[c] if c < len(feature_names) else str(c) for c in range(raw.shape[1])]
     filled = raw.copy()
-    for col in range(filled.shape[1]):
-        column = filled[:, col]
-        missing = np.isnan(column)
-        if missing.all():
-            name = feature_names[col] if col < len(feature_names) else str(col)
-            raise AllMissingColumn(f"column {name!r} has no observed values")
-        if missing.any():
-            column[missing] = column[~missing].mean()
-    mean = filled.mean(axis=0)
-    std = filled.std(axis=0)  # population std
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        for name, column in zip(names, filled.T):
+            missing = np.isnan(column)
+            if missing.all():
+                raise AllMissingColumn(f"column {name!r} has no observed values")
+            if missing.any():
+                column[missing] = column[~missing].mean()
+        mean = filled.mean(axis=0)
+        std = filled.std(axis=0)  # population std
+    overflow = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+    if overflow.size:
+        raise ColumnOverflow(f"column {names[overflow[0]]!r} overflows float64 when standardized")
     scaled = np.where(std > 0, (filled - mean) / np.where(std > 0, std, 1.0), 0.0)
     lab = None if labels is None else np.asarray(labels, dtype=int)
     return Dataset(samples=scaled, raw=raw, labels=lab, feature_names=tuple(feature_names))
@@ -208,8 +212,7 @@ def _sq_distances(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     coordinates are added one (k, n) array at a time, longer sums use the
     reduction itself, over blocks of centroids, which leave each sum as it
     is. Each centroid's row is contiguous, which is the layout the fuzzy
-    loop works in; ``(a - b)**2`` equals ``(b - a)**2``
-    exactly, so ``_sq_distances(x, x)`` is exactly symmetric.
+    loop works in.
     """
     if x.shape[1] > _SEQUENTIAL_TERMS:
         out = np.empty((len(centroids), len(x)))
@@ -399,10 +402,6 @@ def run_fcm(data: Dataset, cfg: ClustererConfig) -> tuple[Partition, BasicParams
 
 # --- linkage family ----------------------------------------------------------
 
-def euclidean_matrix(x: np.ndarray) -> np.ndarray:
-    return np.sqrt(_sq_distances(x, x))
-
-
 def hamming_matrix(x: np.ndarray) -> np.ndarray:
     """Fraction of coordinates differing by more than a small tolerance.
 
@@ -423,18 +422,21 @@ def hamming_matrix(x: np.ndarray) -> np.ndarray:
     return count
 
 
-def cosine_matrix(x: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=1)
-    safe = np.where(norms > 0, norms, 1.0)
-    unit = x / safe[:, None]
-    dist = 1.0 - unit @ unit.T
-    zero = norms == 0
-    if zero.any():
-        dist[zero, :] = 1.0
-        dist[:, zero] = 1.0
-        dist[np.ix_(zero, zero)] = 0.0
-    np.fill_diagonal(dist, 0.0)
-    return np.maximum(dist, 0.0)
+def _cosine_distances(x: np.ndarray) -> np.ndarray:
+    """Condensed cosine distances, as ``pdist(x, "cosine")``.
+
+    scipy leaves NaN at a pair with an all-zero row, which has no direction.
+    Russell-Rao on the zero flags puts such a row at 1 from every other row
+    and at 0 from another all-zero row.
+    """
+    from scipy.spatial.distance import pdist
+
+    dist = pdist(x, "cosine")
+    undefined = np.isnan(dist)
+    if undefined.any():
+        zero = np.linalg.norm(x, axis=1) == 0
+        dist[undefined] = pdist(zero[:, None], "russellrao")[undefined]
+    return dist
 
 
 def _linkage_tree(x: np.ndarray, alg: str) -> np.ndarray:
@@ -450,10 +452,9 @@ def _linkage_tree(x: np.ndarray, alg: str) -> np.ndarray:
     # Imported on first use: scipy.cluster loads scipy.spatial (~50 ms),
     # which runs and commands without such a linkage need not pay.
     from scipy.cluster.hierarchy import linkage
-    from scipy.spatial.distance import squareform
+    from scipy.spatial.distance import pdist
 
-    dist = euclidean_matrix(x) if alg[2] == "E" else cosine_matrix(x)
-    return linkage(squareform(dist, checks=False), method)
+    return linkage(pdist(x) if alg[2] == "E" else _cosine_distances(x), method)
 
 
 def run_linkage(data: Dataset, cfg: ClustererConfig) -> tuple[Partition, BasicParams]:
@@ -470,12 +471,13 @@ def run_linkage(data: Dataset, cfg: ClustererConfig) -> tuple[Partition, BasicPa
     whose row-major tie rule then decides the partition. Where no two
     samples share a coordinate, every Hamming distance is 1 and the tree
     is the engine's ``chain_tree``, built without a distance matrix; its
-    cuts leave the last k-1 samples as singletons. Euclidean and
-    cosine IDs merge on scipy's compiled ``linkage`` (Müllner's MST and
-    NN-chain algorithms). Either linkage matrix goes to the one cut,
-    ``cut_merges``. On tie-free distances both give the same partition
-    at every k. Where distances tie, scipy may merge the tied pairs in
-    another order and so cut a different, equally deterministic partition.
+    cuts leave the last k-1 samples as singletons. Euclidean and cosine
+    IDs merge scipy's condensed ``pdist`` distances on its compiled
+    ``linkage`` (Müllner's MST and NN-chain algorithms). Either linkage
+    matrix goes to the one cut, ``cut_merges``. On tie-free distances both
+    give the same partition at every k. Where distances tie, scipy may
+    merge the tied pairs in another order and so cut a different, equally
+    deterministic partition.
 
     The tree depends on neither k nor the seed: on a dataset from
     :meth:`Dataset.with_memo` it is built once per linkage ID, then only cut.
@@ -522,11 +524,12 @@ def _spectral_embedding(x: np.ndarray, k: int) -> np.ndarray:
     matrix's own buffer, with the arithmetic of
     ``np.where(keep, np.exp(-(dist**2) / (2 * sigma**2)), 0.0)``.
     """
+    from scipy.spatial.distance import pdist, squareform
+
     n = x.shape[0]
-    dist = euclidean_matrix(x)
-    # euclidean_matrix is exactly symmetric, so each pair once has the median
-    # of the off-diagonal entries
-    sigma = float(np.median(dist[np.triu_indices(n, 1)]))
+    dist = pdist(x)
+    sigma = float(np.median(dist))  # each pair once: the off-diagonal median
+    dist = squareform(dist)
     if sigma <= 0:
         sigma = 1.0
     keep = _nearest(dist, min(_MAX_NEIGHBORS, n - 1))

@@ -71,6 +71,10 @@ class AllMissingColumn(CeselError):
     """A feature column has no observed values, so it cannot be imputed."""
 
 
+class ColumnOverflow(CeselError):
+    """A feature column's mean or variance overflows float64."""
+
+
 class DegenerateSpectrum(CeselError):
     """The spectral embedding has fewer usable directions than clusters."""
 

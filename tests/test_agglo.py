@@ -16,13 +16,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.cluster.hierarchy import linkage
-from scipy.spatial.distance import squareform
+from scipy.spatial.distance import pdist, squareform
 
 from cesel import assets
 from cesel._agglo import LINKAGE_METHODS, chain_tree, cut_merges, linkage_merge
-from cesel.clusterers import cosine_matrix, euclidean_matrix, hamming_matrix
+from cesel.clusterers import _cosine_distances, hamming_matrix
 from cesel.errors import InvalidK
 from cesel.harness import load_csv
+
+
+# Square forms of the clusterers' condensed distances, as the engine takes them.
+def euclidean_matrix(x):
+    return squareform(pdist(x))
+
+
+def cosine_matrix(x):
+    return squareform(_cosine_distances(x))
 
 
 def oracle_linkage_merge(dissimilarity, method, sizes=None):

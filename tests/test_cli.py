@@ -189,6 +189,17 @@ class TestExitCodes:
         assert rc == 2
         assert err.startswith("data error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("cells", [("1e308", "-1e308", "1e308"), ("1e308", "", "1e308")],
+                             ids=["variance", "imputed-mean"])
+    def test_overflowing_column_is_data_error(self, tmp_path, capsys, cells):
+        bad = tmp_path / "huge.csv"
+        bad.write_text("a,b\n" + "".join(f"{i},{v}\n" for i, v in enumerate(cells)),
+                       encoding="utf-8")
+        rc = main(["run", "--data", str(bad), "--k", "2"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("data error: column 'b' ") and err.count("\n") == 1
+
     def test_pipeline_failure_is_3(self, tmp_path, capsys):
         ring = tmp_path / "ring.csv"
         main(["gen-data", "--n", "40", "--noise", "0.05", "--seed", "1",

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.spatial.distance import pdist, squareform
 
 from cesel import clusterers
 from cesel._agglo import cut_merges, linkage_merge
@@ -11,8 +12,8 @@ from cesel.clusterers import (
     Dataset,
     LINKAGE_IDS,
     Partition,
-    cosine_matrix,
-    euclidean_matrix,
+    _cosine_distances,
+    _linkage_tree,
     hamming_matrix,
     preprocess,
     run_algorithm,
@@ -21,7 +22,7 @@ from cesel.clusterers import (
     run_linkage,
     run_spectral_sparse,
 )
-from cesel.errors import AllMissingColumn, InvalidK
+from cesel.errors import AllMissingColumn, ColumnOverflow, InvalidK
 from cesel.harness import accuracy, gen_blobs, gen_half_ring
 from cesel.independency import bpi
 
@@ -53,6 +54,18 @@ class TestPreprocess:
     def test_all_missing_column_rejected(self):
         with pytest.raises(AllMissingColumn):
             preprocess(np.array([[np.nan, 1.0], [np.nan, 2.0]]))
+
+    @pytest.mark.parametrize("column", [[1e308, -1e308, 1e308], [1e308, 1e308, 1e308],
+                                        [1e308, np.nan, 1e308], [1e160, 0.0, -1e160]])
+    def test_overflowing_column_rejected(self, column):
+        raw = np.column_stack([[1.0, 2.0, 4.0], column])
+        with pytest.raises(ColumnOverflow, match="'b'"):
+            preprocess(raw, feature_names=("a", "b"))
+
+    def test_large_finite_column_scales_as_the_formula(self):
+        raw = np.array([[1e150, 1.0], [-3e150, 2.0], [2e150, 4.0]])
+        want = (raw - raw.mean(axis=0)) / raw.std(axis=0)
+        assert np.array_equal(preprocess(raw).samples, want)
 
     def test_columns_end_up_standardized(self):
         rng = np.random.default_rng(71)
@@ -223,10 +236,9 @@ class TestLinkage:
            st.sampled_from([alg for alg in LINKAGE_IDS if alg[2] != "H"]))
     def test_scipy_path_matches_engine_on_tie_free_points(self, n, d, seed, alg):
         data = _unscaled(np.random.default_rng(seed).normal(size=(n, d)))
-        dist = {"E": euclidean_matrix, "C": cosine_matrix}[alg[2]](data.samples)
-        condensed = dist[np.triu_indices(n, 1)]
+        condensed = {"E": pdist, "C": _cosine_distances}[alg[2]](data.samples)
         assume(np.unique(condensed).size == condensed.size)
-        tree = linkage_merge(dist, clusterers._LINKAGE_NAMES[alg[0]])
+        tree = linkage_merge(squareform(condensed), clusterers._LINKAGE_NAMES[alg[0]])
         for k in range(1, n + 1):
             part, _ = run_linkage(data, ClustererConfig(alg, k=k, seed=0))
             assert np.array_equal(part.assignments, cut_merges(tree, k)), k
@@ -256,8 +268,7 @@ class TestLinkage:
 class TestDistanceMatrices:
     def test_euclidean_basics(self):
         x = np.array([[0.0, 0.0], [3.0, 4.0]])
-        d = euclidean_matrix(x)
-        assert np.allclose(d, [[0, 5], [5, 0]])
+        assert _linkage_tree(x, "SLE").tolist() == [[0.0, 1.0, 5.0, 2.0]]
 
     def test_hamming_counts_differing_coordinates(self):
         x = np.array([[1.0, 2.0, 3.0], [1.0, 2.5, 3.0], [9.0, 9.0, 9.0]])
@@ -272,15 +283,17 @@ class TestDistanceMatrices:
 
     def test_cosine_right_angle(self):
         x = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
-        d = cosine_matrix(x)
-        assert d[0, 1] == pytest.approx(1.0)
-        assert d[0, 2] == pytest.approx(0.0, abs=1e-12)
+        d01, d02, d12 = _cosine_distances(x)  # condensed: (0, 1), (0, 2), (1, 2)
+        assert d01 == pytest.approx(1.0)
+        assert d02 == pytest.approx(0.0, abs=1e-12)
+        assert d12 == pytest.approx(1.0)
 
     def test_cosine_zero_rows(self):
-        x = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
-        d = cosine_matrix(x)
-        assert d[0, 1] == 0.0  # both undefined directions treated as identical
-        assert d[0, 2] == 1.0
+        x = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [2.0, 2.0]])
+        d = squareform(_cosine_distances(x))
+        assert d[0, 2] == 0.0  # both undefined directions treated as identical
+        assert d[0, 1] == d[0, 3] == d[2, 1] == d[2, 3] == 1.0
+        assert d[1, 3] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestSpectralSparse:

@@ -1,5 +1,9 @@
 """Co-association evidence, merge tree, cut, and the full pipeline."""
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -352,6 +356,25 @@ class TestFuse:
 
 
 BLOBS = gen_blobs(15, [[0.0, 0.0], [9.0, 9.0]], 0.5, seed=97)
+
+
+def test_kmeans_fcm_runs_leave_scipy_spatial_unloaded():
+    # Loading scipy.spatial (scipy.cluster loads it too) takes ~0.14 s, which
+    # a K/F-only pipeline, like the blobs-consensus benchmark, need not pay.
+    env = dict(os.environ, PYTHONPATH=str(Path(clusterers.__file__).parents[1]))
+    code = (
+        "import sys, cesel\n"
+        "from cesel.consensus import PipelineConfig, run_ces\n"
+        "from cesel.harness import gen_blobs\n"
+        "data = gen_blobs(20, [[0, 0], [6, 6], [0, 6]], 1.0, seed=1)\n"
+        "run_ces(data, PipelineConfig(k_final=3, d_threshold=0.0, committee_target=6,\n"
+        "                             max_attempts=12, roster=('K', 'F'), vary_k=True))\n"
+        "loaded = [m for m in ('scipy.spatial', 'scipy.cluster') if m in sys.modules]\n"
+        "print(loaded)\n"
+        "sys.exit(1 if loaded else 0)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 class TestRunCes:

@@ -4,13 +4,14 @@ against their earlier forms.
 ``run_fcm`` keeps its state in a transposed (k, n) layout with reused
 buffers, ``_lloyd`` takes every cluster sum from one ``bincount`` per
 coordinate, ``run_spectral_sparse`` picks its neighbours with one partition
-per row, takes its bandwidth from one triangle of the distance matrix and
+per row, takes its bandwidth from scipy's condensed distances and
 builds the similarity in the distance matrix's buffer, and
 ``consensus._signatures`` groups equal label rows with a stable
 ``lexsort`` instead of ``np.unique(axis=0)``. Each is meant to repeat the
 result of the straightforward version exactly. The oracles below are
 those versions, kept verbatim (the FCM loop also counts its iterations,
-and the spectral one reads the module's helpers and constants), and
+and the spectral one takes its distances from the ``_sq_distances`` below
+and reads the module's ``_lloyd`` and constants), and
 every comparison is ``array_equal``, not a tolerance.
 ``weac`` is checked against ``eac``: unit weights give ``eac`` itself, and
 other weights scale each entry's vote.
@@ -135,7 +136,7 @@ def oracle_spectral_sparse(data, cfg):
         raise InvalidK(f"k={cfg.k} exceeds sample count {n}")
     t = min(clusterers._MAX_NEIGHBORS, n - 1)
 
-    dist = clusterers.euclidean_matrix(data.samples)
+    dist = np.sqrt(_sq_distances(data.samples, data.samples))
     off_diag = dist[~np.eye(n, dtype=bool)]
     sigma = float(np.median(off_diag))
     if sigma <= 0:

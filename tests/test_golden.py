@@ -3,16 +3,21 @@
 ``data/golden_reports.json`` holds the final assignments, the committee's
 run indices and the weights of a few small iris and half-ring runs. Speed
 work must leave them bit-identical; a change that moves them on purpose
-regenerates the file and explains the change.
+regenerates the file and explains the change. They must also hold at one
+and at two BLAS threads.
 
 Regenerate with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import cesel
 from cesel import assets
 from cesel.clusterers import ALGORITHM_IDS
 from cesel.consensus import PipelineConfig, run_ces
@@ -59,6 +64,25 @@ def _outputs(case: str) -> dict:
 def test_outputs_match_golden(case):
     golden = json.loads(GOLDEN.read_text())
     assert _outputs(case) == golden[case]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_outputs_match_golden_at_blas_thread_count(threads):
+    # Dense eigh can round differently with another thread count (README,
+    # "Determinism"); the golden runs must not move with it.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+               MKL_NUM_THREADS=threads, PYTHONPATH=str(Path(cesel.__file__).parents[1]))
+    code = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "from test_golden import CASES, GOLDEN, _outputs\n"
+        "golden = json.loads(GOLDEN.read_text())\n"
+        "moved = [case for case in sorted(CASES) if _outputs(case) != golden[case]]\n"
+        "print(moved)\n"
+        "sys.exit(1 if moved else 0)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 if __name__ == "__main__":

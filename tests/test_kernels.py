@@ -1,20 +1,30 @@
-"""Distance and membership kernels against copies of their broadcast forms.
+"""Distance and membership kernels against copies of their earlier forms.
 
 The clusterers add short sums one coordinate (or one cluster) at a time
 instead of reducing a stacked axis. The oracles below are the earlier
 broadcast expressions, kept verbatim; every kernel must equal them bit for
 bit, on both sides of the 8-term point where NumPy changes its summation
 order.
+
+The linkage clusterers and SPS take their Euclidean and cosine distances
+from scipy's condensed ``pdist``. The dense matrices they were built from
+before are kept below as oracles, verbatim: the Euclidean distances must
+equal them bit for bit up to 7 coordinates, and the linkage cuts must
+match on tie-free data at any dimension.
 """
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.cluster.hierarchy import linkage
+from scipy.spatial.distance import pdist, squareform
 
 from cesel import clusterers
-from cesel.clusterers import _HAMMING_TOL, euclidean_matrix, hamming_matrix
+from cesel._agglo import cut_merges
+from cesel.clusterers import (LINKAGE_IDS, ClustererConfig, Dataset, _HAMMING_TOL,
+                              _cosine_distances, _sq_distances, hamming_matrix, run_linkage)
 
 
 def oracle_sq_distances(x, centroids):
@@ -43,8 +53,8 @@ COORD = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def points(draw, max_rows=12):
-    d = draw(st.integers(1, 12))
+def points(draw, max_rows=12, max_d=12):
+    d = draw(st.integers(1, max_d))
     n = draw(st.integers(1, max_rows))
     return draw(arrays(np.float64, (n, d), elements=COORD))
 
@@ -62,26 +72,82 @@ def test_sq_distances_match_broadcast_sum(x, data):
 
 def test_sq_distances_memory_is_bounded():
     # Stacking all 1500 centroids at d=12 would take two (1500, 1500, 12)
-    # temporaries, 216 MB each; in blocks the peak is the n x n result, its
-    # square root and one block.
+    # temporaries, 216 MB each; in blocks the peak is the n x n result and
+    # one block.
     x = np.random.default_rng(0).normal(size=(1500, 12))
     tracemalloc.start()
     try:
-        euclidean_matrix(x)
+        _sq_distances(x, x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 3 * x.shape[0] ** 2 * 8
 
 
+# --- Euclidean and cosine distances against the earlier dense kernels -------
+
+def euclidean_matrix(x: np.ndarray) -> np.ndarray:
+    return np.sqrt(_sq_distances(x, x))
+
+
+def cosine_matrix(x: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(x, axis=1)
+    safe = np.where(norms > 0, norms, 1.0)
+    unit = x / safe[:, None]
+    dist = 1.0 - unit @ unit.T
+    zero = norms == 0
+    if zero.any():
+        dist[zero, :] = 1.0
+        dist[:, zero] = 1.0
+        dist[np.ix_(zero, zero)] = 0.0
+    np.fill_diagonal(dist, 0.0)
+    return np.maximum(dist, 0.0)
+
+
 @settings(max_examples=200, deadline=None)
-@given(x=points(max_rows=16))
-def test_euclidean_matrix_matches_broadcast_sum(x):
-    expected = np.sqrt(np.maximum(oracle_sq_distances(x, x), 0.0))
-    d = euclidean_matrix(x)
-    assert np.array_equal(d, expected)
-    # the spectral bandwidth takes its median over one triangle
-    assert np.array_equal(d, d.T)
+@given(x=points(max_rows=16, max_d=clusterers._SEQUENTIAL_TERMS))
+def test_condensed_euclidean_matches_earlier_matrix(x):
+    # Up to 7 coordinates both add the squared differences left to right.
+    expected = euclidean_matrix(x)
+    assert np.array_equal(expected, np.sqrt(np.maximum(oracle_sq_distances(x, x), 0.0)))
+    assert np.array_equal(squareform(pdist(x)), expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(12, 40), st.integers(1, 12), st.integers(0, 2**32 - 1),
+       st.sampled_from([alg for alg in LINKAGE_IDS if alg[2] != "H"]))
+def test_linkage_cuts_match_earlier_matrices_on_tie_free_points(n, d, seed, alg):
+    # From 8 coordinates on the distances move by ulps, and the cosine
+    # distances at any d; on tie-free data no cut may change.
+    x = np.random.default_rng(seed).normal(size=(n, d))
+    dist = {"E": euclidean_matrix, "C": cosine_matrix}[alg[2]](x)
+    condensed = squareform(dist, checks=False)
+    assume(np.unique(condensed).size == condensed.size)
+    earlier = linkage(condensed, clusterers._LINKAGE_NAMES[alg[0]])
+    data = Dataset(samples=x, raw=x)
+    for k in range(2, 13):
+        part, _ = run_linkage(data, ClustererConfig(alg, k=k, seed=0))
+        assert np.array_equal(part.assignments, cut_merges(earlier, k)), k
+
+
+# Coordinates on a grid: no row so small that its squared norm loses digits.
+COSINE_COORD = st.integers(-10**6, 10**6).map(lambda v: v / 1e3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_cosine_distances_keep_the_zero_row_convention(data):
+    n = data.draw(st.integers(1, 16))
+    x = data.draw(arrays(np.float64, (n, data.draw(st.integers(1, 12))), elements=COSINE_COORD))
+    zero = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    x[zero] = 0.0
+    got = _cosine_distances(x)
+    want = squareform(cosine_matrix(x), checks=False)
+    assert got.shape == want.shape and not np.isnan(got).any()
+    # a pair with an all-zero row: 0 to another all-zero row, 1 to any other
+    with_zero = squareform(zero[:, None] | zero[None, :], checks=False)
+    assert np.array_equal(got[with_zero], want[with_zero])
+    assert np.allclose(got[~with_zero], want[~with_zero], rtol=0.0, atol=1e-12)
 
 
 # squared distances straddling the zero test's 1e-8, plus ordinary ones; NaN
