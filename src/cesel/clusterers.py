@@ -332,20 +332,47 @@ def _memberships(d2: np.ndarray, inv: np.ndarray, out: np.ndarray) -> np.ndarray
     return out
 
 
+def _squarem_point(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> np.ndarray | None:
+    """SQUAREM's extrapolated point from c0 and two map steps c1 = F(c0), c2 = F(c1).
+
+    With r = c1 - c0, v = c2 - 2 c1 + c0 and a = -max(1, |r|/|v|) it is
+    c0 - 2ar + a^2 v, which is F's fixed point where F contracts at one rate
+    (Varadhan & Roland, 2008, scheme S3). None when a norm is not finite or
+    |v| = 0.
+    """
+    r = c1 - c0
+    v = c2 - c1 - r
+    r_norm, v_norm = float(np.linalg.norm(r)), float(np.linalg.norm(v))
+    if not (v_norm > 0 and math.isfinite(r_norm / v_norm)):
+        return None
+    alpha = -max(1.0, r_norm / v_norm)
+    return c0 - 2.0 * alpha * r + alpha * alpha * v
+
+
 def _fcm(
     x: np.ndarray, k: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The fuzzy clustering loop: (memberships, centroids, initial, iterations).
+    """The fuzzy clustering loop: (memberships, centroids, initial, evaluations).
 
     Memberships are (k x n); centroids and the initial centroids, implied
-    by the random initial memberships, are (k x d). The loop alternates
-    the weighted-centroid and membership updates with fuzzifier 2 (the
-    weights are squared memberships) until memberships move less than the
-    tolerance, or for at most ``_MAX_ITER`` iterations.
+    by the random initial memberships, are (k x d). With fuzzifier 2 (the
+    weights are squared memberships) a plain step evaluates the
+    memberships at the centroids, then takes the weighted centroids of
+    those, F(c). The loop runs SQUAREM cycles on F (Varadhan & Roland,
+    2008): two plain steps c1 = F(c0) and c2 = F(c1), then one evaluation
+    at the extrapolated point cx of :func:`_squarem_point`. The cycle
+    continues from F(cx) if the objective sum(u^2 d^2) at cx is no larger
+    than at c1, and from c2 otherwise; the plain step never raises that
+    objective (Bezdek, 1981), so in exact arithmetic neither does the
+    cycle. Where there is no cx (a non-finite norm, from a NaN centroid,
+    or |v| = 0) the cycle skips the extrapolation. The loop stops at
+    centroids from which a plain step moves the memberships less than the
+    tolerance, and returns those centroids and the memberships they came
+    from, or after ``_MAX_ITER`` membership evaluations.
 
     It keeps memberships, squared distances and weights as C-order (k, n)
-    arrays, the memberships and weights in buffers allocated once, and
-    repeats the arithmetic of the (n, k) formulation bit for bit:
+    arrays, and repeats the arithmetic of the (n, k) formulation bit for
+    bit in each plain step:
 
     - squared distances come from ``_sq_distances``, already (k, n);
     - a centroid's denominator, the sum of its n weights, is the last
@@ -359,7 +386,7 @@ def _fcm(
     u = rng.random((n, k)) + 1e-9
     u /= u.sum(axis=1, keepdims=True)
     u = np.ascontiguousarray(u.T)
-    new_u, scratch, w, running = (np.empty((k, n)) for _ in range(4))
+    scratch, w, running = (np.empty((k, n)) for _ in range(3))
     w_nk = np.empty((n, k))
 
     def centroids_of(memberships: np.ndarray) -> np.ndarray:
@@ -368,20 +395,43 @@ def _fcm(
         np.copyto(w_nk, w.T)
         return (w_nk.T @ x) / denominator[:, None]
 
+    def evaluate(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        d2 = _sq_distances(x, c)
+        return _memberships(d2, scratch, np.empty((k, n))), d2
+
+    def objective(memberships: np.ndarray, d2: np.ndarray) -> float:
+        # NumPy's own sum, not BLAS: the same bits at any BLAS thread count
+        return float((memberships * memberships * d2).sum())
+
     initial = centroids_of(u)
-    centroids = initial
+    centroids, evaluations = initial, 0
     # When k exceeds the distinct samples, a cluster can lose all its
     # membership; its centroid is then 0/0, a NaN that _memberships and
-    # _repair_empty handle. Entered once per call, not per iteration.
+    # _repair_empty handle, and whose norms skip every extrapolation.
+    # Entered once per call, not per evaluation.
     with np.errstate(invalid="ignore"):
-        for iteration in range(1, _MAX_ITER + 1):
-            _memberships(_sq_distances(x, centroids), scratch, new_u)
-            change = float(np.abs(np.subtract(new_u, u, out=scratch), out=scratch).max())
-            u, new_u = new_u, u
-            centroids = centroids_of(u)
-            if change < _TOL:
-                break
-    return u, centroids, initial, iteration
+        while True:
+            cycle = [centroids]
+            for _ in range(2):
+                new_u, d2 = evaluate(centroids)
+                evaluations += 1
+                change = float(np.abs(np.subtract(new_u, u, out=scratch), out=scratch).max())
+                if change < _TOL:
+                    return u, centroids, initial, evaluations
+                u, centroids = new_u, centroids_of(new_u)
+                if evaluations == _MAX_ITER:
+                    return u, centroids, initial, evaluations
+                cycle.append(centroids)
+            extrapolated = _squarem_point(*cycle)
+            if extrapolated is None:
+                continue
+            extrapolated_u, extrapolated_d2 = evaluate(extrapolated)
+            evaluations += 1
+            # u and d2 are still the memberships and distances at c1
+            if objective(extrapolated_u, extrapolated_d2) <= objective(u, d2):
+                u, centroids = extrapolated_u, centroids_of(extrapolated_u)
+            if evaluations == _MAX_ITER:
+                return u, centroids, initial, evaluations
 
 
 def run_fcm(data: Dataset, cfg: ClustererConfig) -> tuple[Partition, BasicParams]:
@@ -389,8 +439,9 @@ def run_fcm(data: Dataset, cfg: ClustererConfig) -> tuple[Partition, BasicParams
 
     The starting parameters reported for independency are the k x d
     centroids implied by the random initial membership matrix. The loop,
-    :func:`_fcm`, works in a (k, n) layout and repeats the arithmetic of
-    the plain (n, k) formulation bit for bit.
+    :func:`_fcm`, extrapolates the centroid steps, safeguarded by the FCM
+    objective, and stops where memberships move less than 1e-6 or after
+    300 membership evaluations.
     """
     if cfg.k > data.n:
         raise InvalidK(f"k={cfg.k} exceeds sample count {data.n}")

@@ -1,18 +1,25 @@
 """The fuzzy and Lloyd loops, the spectral graph and the signature grouping
 against their earlier forms.
 
-``run_fcm`` keeps its state in a transposed (k, n) layout with reused
-buffers, ``_lloyd`` takes every cluster sum from one ``bincount`` per
-coordinate, ``run_spectral_sparse`` picks its neighbours with one partition
-per row, takes its bandwidth from scipy's condensed distances and
-builds the similarity in the distance matrix's buffer, and
-``consensus._signatures`` groups equal label rows with a stable
-``lexsort`` instead of ``np.unique(axis=0)``. Each is meant to repeat the
-result of the straightforward version exactly. The oracles below are
-those versions, kept verbatim (the FCM loop also counts its iterations,
-and the spectral one takes its distances from the ``_sq_distances`` below
-and reads the module's ``_lloyd`` and constants), and
-every comparison is ``array_equal``, not a tolerance.
+``_lloyd`` takes every cluster sum from one ``bincount`` per coordinate,
+``run_spectral_sparse`` picks its neighbours with one partition per row,
+takes its bandwidth from scipy's condensed distances and builds the
+similarity in the distance matrix's buffer, and ``consensus._signatures``
+groups equal label rows with a stable ``lexsort`` instead of
+``np.unique(axis=0)``. Each is meant to repeat the result of the
+straightforward version exactly. The oracles below are those versions,
+kept verbatim (the spectral one takes its distances from the
+``_sq_distances`` below and reads the module's ``_lloyd`` and
+constants), and every comparison is ``array_equal``, not a tolerance.
+
+``_fcm`` is the exception: it extrapolates its centroid steps (SQUAREM,
+safeguarded by the FCM objective), so it takes other steps than the
+plain loop and may settle elsewhere. Its oracle, the plain loop kept
+verbatim with its iteration count, checks what must not move: the
+starting centroids bit for bit, and the hard partition up to
+relabelling where both loops settle on the same point. The new loop's
+own guarantees (determinism, the evaluation cap, an objective no higher
+than at the start, a settled stopping point) are checked as properties.
 ``weac`` is checked against ``eac``: unit weights give ``eac`` itself, and
 other weights scale each entry's vote.
 """
@@ -205,24 +212,31 @@ def _dataset(x):
 
 # --- FCM -----------------------------------------------------------------------
 
-def assert_fcm_matches(x, k, seed):
-    u, centroids, initial, iterations = clusterers._fcm(x, k, np.random.default_rng(seed))
-    o_u, o_centroids, o_initial, o_iterations, o_labels = oracle_fcm(x, k, seed)
-    assert iterations == o_iterations
-    assert np.array_equal(u.T, o_u, equal_nan=True)
-    assert np.array_equal(centroids, o_centroids, equal_nan=True)
-    assert np.array_equal(initial, o_initial, equal_nan=True)
+def _fcm_run(x, k, seed):
+    """``run_fcm``'s labels, ``_fcm``'s evaluation count, and the oracle's
+    iteration count and labels, after checking the starting centroids
+    (which ``bpi`` reads) against the oracle's."""
+    with np.errstate(all="ignore"):  # the oracle divides by zero on purpose
+        _, _, initial, evaluations = clusterers._fcm(x, k, np.random.default_rng(seed))
+        _, _, o_initial, o_iterations, o_labels = oracle_fcm(x, k, seed)
     partition, params = run_fcm(_dataset(x), ClustererConfig("F", k, seed))
-    assert np.array_equal(partition.assignments, o_labels)
+    assert np.array_equal(initial, o_initial)
     assert np.array_equal(params.rows, o_initial)
+    return partition.assignments, evaluations, o_iterations, o_labels
+
+
+def same_up_to_relabelling(a, b):
+    pairs = set(zip(a.tolist(), b.tolist()))
+    return len(pairs) == len(set(a.tolist())) == len(set(b.tolist()))
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=samples_and_k(), seed=st.integers(0, 2**32 - 1))
 def test_fcm_matches_earlier_loop(case, seed):
     x, k = case
-    with np.errstate(all="ignore"):  # the oracle divides by zero on purpose
-        assert_fcm_matches(x, k, seed)
+    labels, _, _, o_labels = _fcm_run(x, k, seed)
+    if k == 1:
+        assert same_up_to_relabelling(labels, o_labels)
 
 
 @pytest.mark.parametrize("k", range(2, 11))
@@ -231,10 +245,12 @@ def test_fcm_matches_earlier_loop(case, seed):
     lambda: gen_half_ring(120, 0.05, seed=2),
 ], ids=["blobs", "half-ring"])
 def test_fcm_matches_earlier_loop_on_pipeline_data(make, k):
+    # the extrapolated loop also needs fewer membership evaluations than
+    # the plain loop took iterations, which is what it is for
     x = make().samples
     for seed in range(2):
-        with np.errstate(all="ignore"):
-            assert_fcm_matches(x, k, seed)
+        _, evaluations, o_iterations, _ = _fcm_run(x, k, seed)
+        assert evaluations < o_iterations
 
 
 @pytest.mark.parametrize("x, k", [
@@ -245,8 +261,8 @@ def test_fcm_matches_earlier_loop_on_pipeline_data(make, k):
 ], ids=["all-identical", "duplicates", "k-equals-n", "near-threshold"])
 def test_fcm_zero_distance_columns(x, k):
     for seed in range(3):
-        with np.errstate(all="ignore"):
-            assert_fcm_matches(x, k, seed)
+        labels, _, _, o_labels = _fcm_run(x, k, seed)
+        assert same_up_to_relabelling(labels, o_labels)
 
 
 def test_fcm_on_duplicated_points_raises_no_floating_point_warning():
@@ -263,6 +279,107 @@ def test_fcm_on_duplicated_points_raises_no_floating_point_warning():
         for data, k in cases:
             for seed in range(4):
                 run_fcm(_dataset(data), ClustererConfig("F", k, seed))
+
+
+# Properties of the extrapolated loop itself. ``FEW`` is the NaN-centroid
+# case above: 4 distinct points at k = 6.
+FEW = np.repeat([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], 3, axis=0)
+FCM_CASES = st.one_of(samples_and_k(), st.just((FEW, 6)))
+
+
+def _step(x, centroids):
+    """Memberships at ``centroids`` and the objective sum(u^2 d^2) there."""
+    d2 = clusterers._sq_distances(x, centroids)
+    u = clusterers._memberships(d2, np.empty_like(d2), np.empty_like(d2))
+    return u, float((u * u * d2).sum())
+
+
+def _fcm_quietly(x, k, seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the loop handles its NaN centroids
+        return clusterers._fcm(x, k, np.random.default_rng(seed))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=FCM_CASES, seed=st.integers(0, 2**32 - 1))
+def test_fcm_is_deterministic_and_within_its_budget(case, seed):
+    x, k = case
+    first, again = _fcm_quietly(x, k, seed), _fcm_quietly(x, k, seed)
+    for a, b in zip(first[:3], again[:3]):
+        assert np.array_equal(a, b, equal_nan=True)
+    assert first[3] == again[3]
+    assert 1 <= first[3] <= clusterers._MAX_ITER
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=FCM_CASES, seed=st.integers(0, 2**32 - 1))
+def test_fcm_stops_at_a_settled_point_no_worse_than_its_start(case, seed):
+    x, k = case
+    u, centroids, initial, evaluations = _fcm_quietly(x, k, seed)
+    with np.errstate(invalid="ignore"):
+        after, objective = _step(x, centroids)
+        _, start = _step(x, initial)
+    # A NaN centroid (a cluster without membership) leaves the objective
+    # undefined. In exact arithmetic no accepted step raises it; a centroid
+    # can still settle ulps off samples that the start had at distance 0.
+    if np.isfinite(centroids).all():
+        slack = 1e-12 * start + len(x) * (1e-12 * (1.0 + np.abs(x).max())) ** 2
+        assert objective <= start + slack
+    if evaluations < clusterers._MAX_ITER:
+        assert np.abs(after - u).max() < clusterers._TOL
+
+
+@pytest.mark.parametrize("rate", [-1.5, 0.1, 0.5, 0.9, 0.99])
+def test_squarem_point_extrapolates_a_one_rate_map(rate):
+    # F(c) = fixed + rate (c - fixed): for 0 < rate < 1 the step length is
+    # |r|/|v| = 1/(1 - rate) and lands on the fixed point; for rate = -1.5
+    # it is 1/2.5, so the length 1 applies and the point is c2 itself
+    rng = np.random.default_rng(0)
+    fixed, c0 = rng.normal(size=(2, 4, 3))
+    c1 = fixed + rate * (c0 - fixed)
+    c2 = fixed + rate * (c1 - fixed)
+    want = c2 if rate < 0 else fixed
+    assert np.allclose(clusterers._squarem_point(c0, c1, c2), want, rtol=0, atol=1e-9)
+
+
+def test_squarem_point_falls_back_without_a_finite_step():
+    c = np.arange(6.0).reshape(3, 2)
+    nan_row = c.copy()
+    nan_row[1] = np.nan
+    assert clusterers._squarem_point(c, c, c) is None          # no move at all
+    assert clusterers._squarem_point(c, c + 1, c + 2) is None  # equal moves: v = 0
+    assert clusterers._squarem_point(nan_row, c, c + 1) is None
+
+
+BLOBS = gen_blobs(40, [[0, 0], [3, 0], [0, 3]], 1.0, seed=4).samples
+
+
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_fcm_rejecting_every_extrapolation_walks_the_plain_path(k):
+    # centroids 1e3 away from every sample have a far higher objective than
+    # c1, so the safeguard turns every such point down and each cycle goes
+    # on from c2: the plain steps are then the oracle's, bit for bit
+    def far(c0, c1, c2):
+        return c0 + 1e3
+
+    for seed in range(2):
+        with mock.patch.object(clusterers, "_squarem_point", far):
+            u, centroids, _, evaluations = clusterers._fcm(BLOBS, k, np.random.default_rng(seed))
+        iterations = oracle_fcm(BLOBS, k, seed)[3]
+        assert 2 <= iterations < _MAX_ITER
+        assert evaluations == iterations + (iterations - 1) // 2  # one after each pair
+        # it stops where the oracle's last iteration started
+        with mock.patch.dict(globals(), {"_MAX_ITER": iterations - 1}):
+            o_u, o_centroids = oracle_fcm(BLOBS, k, seed)[:2]
+        assert np.array_equal(u.T, o_u)
+        assert np.array_equal(centroids, o_centroids)
+
+
+@pytest.mark.parametrize("cap", range(1, 8))
+def test_fcm_stops_at_the_evaluation_cap(cap):
+    with mock.patch.object(clusterers, "_MAX_ITER", cap):
+        evaluations = clusterers._fcm(BLOBS, 6, np.random.default_rng(0))[3]
+    assert evaluations == cap
 
 
 # --- Lloyd ----------------------------------------------------------------------
