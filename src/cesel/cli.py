@@ -23,6 +23,7 @@ from .errors import (
     ColumnOverflow,
     CommitteeTooSmall,
     DataFileError,
+    DuplicateAlgorithmId,
     EmptyGraph,
     InvalidK,
     ParseError,
@@ -276,7 +277,7 @@ def main(argv=None) -> int:
         click.echo(f"usage error: {exc}", err=True)
         return 1
     except (ParseError, AllMissingColumn, ColumnOverflow, DataFileError,
-            UnknownSymbol, StructureError, EmptyGraph) as exc:
+            UnknownSymbol, StructureError, EmptyGraph, DuplicateAlgorithmId) as exc:
         click.echo(f"data error: {exc}", err=True)
         return 2
     except CommitteeTooSmall as exc:

@@ -26,7 +26,6 @@ LINKAGE_IDS = tuple(
 ALGORITHM_IDS = (KMEANS_ID, FCM_ID) + LINKAGE_IDS + (SPECTRAL_SPARSE_ID,)
 
 _LINKAGE_NAMES = {"S": "single", "A": "average", "C": "complete", "W": "ward"}
-_HAMMING_TOL = 1e-9
 _MAX_NEIGHBORS = 10    # sparse-graph degree, capped at n - 1
 _MAX_ITER = 300
 _TOL = 1e-6
@@ -453,26 +452,6 @@ def run_fcm(data: Dataset, cfg: ClustererConfig) -> tuple[Partition, BasicParams
 
 # --- linkage family ----------------------------------------------------------
 
-def hamming_matrix(x: np.ndarray) -> np.ndarray:
-    """Fraction of coordinates differing by more than a small tolerance.
-
-    Every column is counted one coordinate at a time in reused n x n
-    buffers; a count of 0/1 values is exact in any order, so this equals
-    the mean over a stacked (n, n, d) mask.
-    """
-    n, d = x.shape
-    count = np.zeros((n, n))
-    gap = np.empty((n, n))
-    differs = np.empty((n, n), dtype=bool)
-    for col in x.T:
-        np.subtract.outer(col, col, out=gap)
-        np.abs(gap, out=gap)
-        np.greater(gap, _HAMMING_TOL, out=differs)
-        count += differs
-    count /= d
-    return count
-
-
 def _cosine_distances(x: np.ndarray) -> np.ndarray:
     """Condensed cosine distances, as ``pdist(x, "cosine")``.
 
@@ -493,17 +472,17 @@ def _cosine_distances(x: np.ndarray) -> np.ndarray:
 def _linkage_tree(x: np.ndarray, alg: str) -> np.ndarray:
     """The (n-1, 4) merge tree of linkage ID ``alg`` on samples ``x``."""
     method = _LINKAGE_NAMES[alg[0]]
+    # Sorted neighbours apart in every column: no two samples share a
+    # coordinate, and every Hamming distance is d/d = 1.
+    if alg[2] == "H" and np.all(np.diff(np.sort(x, axis=0), axis=0) > 0):
+        return chain_tree(len(x))
+    # Imported on first use: scipy.spatial takes ~50 ms to load, which runs
+    # and commands without such a linkage need not pay.
+    from scipy.spatial.distance import pdist, squareform
+
     if alg[2] == "H":
-        # Sorted neighbours more than the tolerance apart in every column:
-        # rounding a difference is monotone, so no pair is closer than some
-        # pair of neighbours, and every Hamming distance is d/d = 1.
-        if np.all(np.diff(np.sort(x, axis=0), axis=0) > _HAMMING_TOL):
-            return chain_tree(len(x))
-        return linkage_merge(hamming_matrix(x), method)
-    # Imported on first use: scipy.cluster loads scipy.spatial (~50 ms),
-    # which runs and commands without such a linkage need not pay.
+        return linkage_merge(squareform(pdist(x, "hamming")), method)
     from scipy.cluster.hierarchy import linkage
-    from scipy.spatial.distance import pdist
 
     return linkage(pdist(x) if alg[2] == "E" else _cosine_distances(x), method)
 
@@ -517,9 +496,11 @@ def run_linkage(data: Dataset, cfg: ClustererConfig) -> tuple[Partition, BasicPa
     parameters are a constant one-row code and reruns score fully
     dependent at run level.
 
-    Hamming distances are multiples of 1/d and tie by construction, so
-    the ``?LH`` IDs merge on the exact engine of :mod:`cesel._agglo`,
-    whose row-major tie rule then decides the partition. Where no two
+    A Hamming distance is the share of coordinates that differ, exactly
+    as ``pdist(x, "hamming")`` counts them (0.0 equals -0.0). These
+    distances are multiples of 1/d and tie by construction, so the
+    ``?LH`` IDs merge on the exact engine of :mod:`cesel._agglo`, whose
+    row-major tie rule then decides the partition. Where no two
     samples share a coordinate, every Hamming distance is 1 and the tree
     is the engine's ``chain_tree``, built without a distance matrix; its
     cuts leave the last k-1 samples as singletons. Euclidean and cosine

@@ -142,9 +142,7 @@ def average_linkage(co_association: np.ndarray, sizes: np.ndarray | None = None)
     (see :func:`linkage_merge`); the tree's leaves are still the rows,
     but its size column counts samples, not leaves.
     """
-    c = np.asarray(co_association, dtype=float)
-    dissimilarity = 1.0 - c
-    np.fill_diagonal(dissimilarity, 0.0)
+    dissimilarity = 1.0 - np.asarray(co_association, dtype=float)
     return linkage_merge(dissimilarity, "average", sizes)
 
 

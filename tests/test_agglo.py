@@ -20,7 +20,7 @@ from scipy.spatial.distance import pdist, squareform
 
 from cesel import assets
 from cesel._agglo import LINKAGE_METHODS, chain_tree, cut_merges, linkage_merge
-from cesel.clusterers import _cosine_distances, hamming_matrix
+from cesel.clusterers import _cosine_distances
 from cesel.errors import InvalidK
 from cesel.harness import load_csv
 
@@ -32,6 +32,10 @@ def euclidean_matrix(x):
 
 def cosine_matrix(x):
     return squareform(_cosine_distances(x))
+
+
+def hamming_matrix(x):
+    return squareform(pdist(x, "hamming"))
 
 
 def oracle_linkage_merge(dissimilarity, method, sizes=None):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import cesel
-from cesel import assets
+from cesel import assets, errors
 from cesel.cli import main
 from cesel.harness import gen_half_ring, load_csv
 
@@ -444,6 +444,71 @@ class TestExitCodes:
         assert rc == 2
         assert err.startswith("data error: ") and err.count("\n") == 1
 
+    def test_script_names_clashing_in_case_are_data_error(self, tmp_path, capsys):
+        # k.cail and K.cail both give algorithm ID K
+        scripts = tmp_path / "scripts"
+        scripts.mkdir()
+        for name in ("F", "k", "K"):
+            (scripts / f"{name}.cail").write_text("begin R(1) end\n", encoding="utf-8")
+        rc = main(["aidm", "--scripts", str(scripts), "--out", str(tmp_path / "a.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("data error: duplicate algorithm IDs") and err.count("\n") == 1
+        assert not (tmp_path / "a.csv").exists()
+
     def test_help_is_0(self, capsys):
         assert main(["--help"]) == 0
         assert main(["run", "--help"]) == 0
+
+
+def _error_classes(cls=errors.CeselError):
+    """``cls`` and every subclass of it, recursively."""
+    return [cls] + [sub for direct in cls.__subclasses__() for sub in _error_classes(direct)]
+
+
+# Exit code and stderr prefix for every error class; a class without a row
+# fails below instead of falling through to exit 3.
+_USAGE = (1, "usage error: ")
+_DATA = (2, "data error: ")
+_PIPELINE = (3, "pipeline failure: ")
+_OTHER = (3, "error: ")
+EXIT_POLICY = {
+    "CeselError": _OTHER,
+    "UnknownSymbol": _DATA,
+    "StructureError": _DATA,
+    "EmptyGraph": _DATA,
+    "EmptyCell": _OTHER,
+    "DuplicateAlgorithmId": _DATA,
+    "UnknownAlgorithm": _OTHER,
+    "DimensionMismatch": _OTHER,
+    "CommitteeTooSmall": _PIPELINE,
+    "ParseError": _DATA,
+    "DataFileError": _DATA,
+    "AllMissingColumn": _DATA,
+    "ColumnOverflow": _DATA,
+    "DegenerateSpectrum": _OTHER,
+    "EmptyCommittee": _OTHER,
+    "WeightMismatch": _OTHER,
+    "InvalidK": _USAGE,
+    "LengthMismatch": _OTHER,
+}
+_ERROR_ARGS = {"UnknownSymbol": ("BOGUS", 3), "StructureError": (3, "unclosed block")}
+
+
+def test_exit_policy_names_only_existing_classes():
+    assert sorted(EXIT_POLICY) == sorted(cls.__name__ for cls in _error_classes())
+
+
+@pytest.mark.parametrize("cls", _error_classes(), ids=lambda cls: cls.__name__)
+def test_exit_policy(cls, iris_path, monkeypatch, capsys):
+    code, prefix = EXIT_POLICY[cls.__name__]
+    exc = cls(*_ERROR_ARGS.get(cls.__name__, ("something went wrong",)))
+
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("cesel.cli.load_csv", fail)
+    rc = main(["run", "--data", iris_path, "--k", "3"])
+    err = capsys.readouterr().err
+    assert rc == code
+    assert err == f"{prefix}{exc}\n"

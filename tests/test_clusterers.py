@@ -14,7 +14,6 @@ from cesel.clusterers import (
     Partition,
     _cosine_distances,
     _linkage_tree,
-    hamming_matrix,
     preprocess,
     run_algorithm,
     run_fcm,
@@ -213,7 +212,7 @@ class TestLinkage:
         def forbidden(*args):
             raise AssertionError("no n x n Hamming work on all-distinct data")
 
-        monkeypatch.setattr(clusterers, "hamming_matrix", forbidden)
+        monkeypatch.setattr("scipy.spatial.distance.pdist", forbidden)
         monkeypatch.setattr(clusterers, "linkage_merge", forbidden)
         n = 30
         data = gen_half_ring(n, 0.05, seed=5)
@@ -226,7 +225,7 @@ class TestLinkage:
         # No two half-ring samples share a coordinate, so every Hamming
         # distance is 1 and each cut splits off the last k-1 samples.
         data = gen_half_ring(40, 0.05, seed=3)
-        assert np.all(hamming_matrix(data.samples)[~np.eye(40, dtype=bool)] == 1.0)
+        assert np.all(pdist(data.samples, "hamming") == 1.0)
         for k in range(1, 41):
             part, _ = run_linkage(data, ClustererConfig(alg, k=k, seed=0))
             assert np.array_equal(part.assignments, np.r_[np.zeros(41 - k), np.arange(1, k)]), k
@@ -272,14 +271,18 @@ class TestDistanceMatrices:
 
     def test_hamming_counts_differing_coordinates(self):
         x = np.array([[1.0, 2.0, 3.0], [1.0, 2.5, 3.0], [9.0, 9.0, 9.0]])
-        d = hamming_matrix(x)
+        d = squareform(pdist(x, "hamming"))
         assert d[0, 1] == pytest.approx(1 / 3)
         assert d[0, 2] == 1.0
         assert np.all(np.diag(d) == 0.0)
 
-    def test_hamming_tolerance(self):
-        x = np.array([[0.0], [1e-12]])
-        assert hamming_matrix(x)[0, 1] == 0.0
+    def test_hamming_exact_gap(self):
+        # Any gap is a difference, however small; -0.0 and 0.0 are one value.
+        x = np.array([[0.0], [1e-12], [-0.0], [np.nextafter(1e-12, 1.0)]])
+        d = squareform(pdist(x, "hamming"))
+        assert d[0, 1] == 1.0 and d[1, 3] == 1.0 and d[0, 2] == 0.0
+        assert _linkage_tree(x, "SLH")[0].tolist() == [0.0, 2.0, 0.0, 2.0]
+        assert np.array_equal(_linkage_tree(x[:2], "SLH"), [[0.0, 1.0, 1.0, 2.0]])
 
     def test_cosine_right_angle(self):
         x = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]])

@@ -11,6 +11,11 @@ from scipy's condensed ``pdist``. The dense matrices they were built from
 before are kept below as oracles, verbatim: the Euclidean distances must
 equal them bit for bit up to 7 coordinates, and the linkage cuts must
 match on tie-free data at any dimension.
+
+The Hamming distances are ``pdist(x, "hamming")`` too: the share of
+coordinates that differ, by exact inequality. The earlier kernel, which
+counted a coordinate as equal up to a 1e-9 gap, is kept as an oracle; the
+Hamming trees must equal its trees wherever no non-zero gap is that small.
 """
 import tracemalloc
 
@@ -22,9 +27,13 @@ from scipy.cluster.hierarchy import linkage
 from scipy.spatial.distance import pdist, squareform
 
 from cesel import clusterers
-from cesel._agglo import cut_merges
-from cesel.clusterers import (LINKAGE_IDS, ClustererConfig, Dataset, _HAMMING_TOL,
-                              _cosine_distances, _sq_distances, hamming_matrix, run_linkage)
+from cesel._agglo import chain_tree, cut_merges, linkage_merge
+from cesel.clusterers import (LINKAGE_IDS, ClustererConfig, Dataset, _cosine_distances,
+                              _linkage_tree, _sq_distances, run_linkage)
+
+HAMMING_IDS = [alg for alg in LINKAGE_IDS if alg[2] == "H"]
+# the earlier kernel's tolerance: gaps up to it counted as equal
+_HAMMING_TOL = 1e-9
 
 
 def oracle_sq_distances(x, centroids):
@@ -45,8 +54,12 @@ def oracle_memberships(d2, m=2.0):
 
 
 def oracle_hamming(x):
-    differs = np.abs(x[:, None, :] - x[None, :, :]) > _HAMMING_TOL
-    return differs.mean(axis=2)
+    return (x[:, None, :] != x[None, :, :]).mean(axis=2)
+
+
+def hamming_matrix(x):
+    """The square Hamming matrix that the ``?LH`` IDs merge on tied data."""
+    return squareform(pdist(x, "hamming"))
 
 
 COORD = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
@@ -175,10 +188,11 @@ def test_fcm_memberships_match_broadcast_sum(data):
     assert np.array_equal(got.T, expected, equal_nan=True)
 
 
-# coordinates whose differences land exactly on, just inside and just
-# outside the tolerance
+# -0.0 beside 0.0, subnormals, values one ulp apart, and gaps at the earlier
+# tolerance and one ulp either side of it
 HAMMING_COORD = st.sampled_from(
-    [0.0, _HAMMING_TOL, -_HAMMING_TOL, 2 * _HAMMING_TOL, 0.5 * _HAMMING_TOL, 1.0, -1.0]
+    [0.0, -0.0, 5e-324, -5e-324, 1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), -1.0,
+     _HAMMING_TOL, np.nextafter(_HAMMING_TOL, 0.0), np.nextafter(_HAMMING_TOL, 1.0)]
 )
 
 
@@ -211,7 +225,7 @@ def off_diagonal_ones(n):
     return 1.0 - np.eye(n)
 
 
-# Values spread over many magnitudes, including gaps near the tolerance.
+# Values spread over many magnitudes, including gaps near the earlier tolerance.
 WIDE_COORD = st.one_of(
     COORD,
     st.floats(-1e-7, 1e-7, allow_nan=False, allow_infinity=False),
@@ -222,12 +236,18 @@ WIDE_COORD = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_all_distinct_shortcut_matches_counting(data):
+    # No value repeats, so every pair differs in every coordinate: the
+    # chain tree is the engine's tree on the all-ones Hamming matrix.
     d = data.draw(st.integers(1, 4))
-    n = data.draw(st.integers(1, 12))
+    n = data.draw(st.integers(2, 12))
     x = data.draw(arrays(np.float64, (n, d), elements=WIDE_COORD, unique=True))
-    want = oracle_counting_hamming(x)
-    assert np.array_equal(hamming_matrix(x), want)
-    assert np.array_equal(hamming_matrix(x), oracle_hamming(x))
+    assert np.array_equal(hamming_matrix(x), off_diagonal_ones(n))
+    assert np.array_equal(oracle_hamming(x), off_diagonal_ones(n))
+    for alg in HAMMING_IDS:
+        tree = _linkage_tree(x, alg)
+        method = clusterers._LINKAGE_NAMES[alg[0]]
+        assert np.array_equal(tree, chain_tree(n))
+        assert np.array_equal(tree, linkage_merge(hamming_matrix(x), method))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -238,29 +258,26 @@ def test_all_distinct_columns_give_ones(d):
 
 
 def test_repeated_values_are_counted():
-    x = np.array([[0.0, 1.0], [0.0, 2.0], [1.0, 2.0], [1.0, 2.0]])
+    x = np.array([[0.0, 1.0], [0.0, 2.0], [1.0, 2.0], [1.0, 2.0], [-0.0, 1.0]])
     got = hamming_matrix(x)
-    assert np.array_equal(got, oracle_counting_hamming(x))
+    assert np.array_equal(got, oracle_hamming(x))
     assert got[0, 1] == 0.5 and got[2, 3] == 0.0 and got[0, 3] == 1.0
+    assert got[0, 4] == 0.0  # -0.0 and 0.0 are one value
 
 
 @pytest.mark.parametrize("offset", [0.0, 3.0, -1e3])
 def test_gap_at_the_tolerance_and_one_ulp_either_side(offset):
-    # One pair of sort-neighbours sits exactly at, just below or just above
-    # the tolerance; the others are far apart. Only the gap above it makes
-    # the column all-distinct.
-    for gap, distinct in [(np.nextafter(_HAMMING_TOL, 0.0), False), (_HAMMING_TOL, False),
-                          (np.nextafter(_HAMMING_TOL, 1.0), True)]:
-        low = offset
-        high = low + gap
-        realised = high - low  # what the kernels compare; exact for close values
+    # One pair of sort-neighbours sits one ulp apart, or at the earlier
+    # 1e-9 tolerance or one ulp either side of it; the others are far
+    # apart. Every such gap is a difference, so the column is all-distinct.
+    low = offset
+    for high in [np.nextafter(low, np.inf), low + np.nextafter(_HAMMING_TOL, 0.0),
+                 low + _HAMMING_TOL, low + np.nextafter(_HAMMING_TOL, 1.0)]:
+        assert high != low
         x = np.array([[5.0 + offset], [low], [high], [-5.0 + offset]])
-        got = hamming_matrix(x)
-        assert np.array_equal(got, oracle_counting_hamming(x))
-        assert got[1, 2] == (1.0 if realised > _HAMMING_TOL else 0.0)
-        if offset == 0.0:
-            assert (realised > _HAMMING_TOL) == distinct
-            assert np.array_equal(got, off_diagonal_ones(4)) == distinct
+        assert np.array_equal(hamming_matrix(x), off_diagonal_ones(4))
+        for alg in HAMMING_IDS:
+            assert np.array_equal(_linkage_tree(x, alg), chain_tree(4))
 
 
 def test_mix_of_distinct_and_tied_columns():
@@ -268,10 +285,43 @@ def test_mix_of_distinct_and_tied_columns():
     n = 25
     distinct = rng.standard_normal((n, 3))
     tied = rng.integers(0, 3, (n, 2)).astype(float)
-    near = np.arange(n) * _HAMMING_TOL  # neighbours about the tolerance apart
+    near = np.arange(n) * _HAMMING_TOL  # neighbours about the earlier tolerance apart
     assert not np.all(np.diff(near) > _HAMMING_TOL)
+    rest = np.column_stack([distinct, tied])
     x = np.column_stack([distinct[:, 0], tied[:, 0], distinct[:, 1], near,
                          tied[:, 1], distinct[:, 2]])
     got = hamming_matrix(x)
-    assert np.array_equal(got, oracle_counting_hamming(x))
     assert np.array_equal(got, oracle_hamming(x))
+    # the near column differs at every pair; the earlier kernel took the
+    # pairs at most its tolerance apart as equal
+    counts = np.rint(got * 6)
+    assert np.array_equal(counts, np.rint(hamming_matrix(rest) * 5) + off_diagonal_ones(n))
+    within = (np.abs(near[:, None] - near[None, :]) <= _HAMMING_TOL) & (off_diagonal_ones(n) > 0)
+    assert within.any()
+    assert np.array_equal(counts - np.rint(oracle_counting_hamming(x) * 6), within)
+
+
+# Tied values on a grid, and values 2e-9 apart: every non-zero gap above the
+# earlier tolerance.
+SPACED_COORD = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.integers(-10**6, 10**6).map(lambda v: v / 1e3),
+    st.integers(0, 4).map(lambda j: 1.0 + j * 2e-9),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_hamming_trees_match_the_earlier_kernel_above_its_tolerance(data):
+    d = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(2, 20))
+    x = data.draw(arrays(np.float64, (n, d), elements=SPACED_COORD))
+    gaps = np.abs(x[:, None, :] - x[None, :, :])
+    assume(np.all((gaps == 0.0) | (gaps > _HAMMING_TOL)))
+    earlier = oracle_counting_hamming(x)
+    for alg in HAMMING_IDS:
+        tree = _linkage_tree(x, alg)
+        want = linkage_merge(earlier, clusterers._LINKAGE_NAMES[alg[0]])
+        assert np.array_equal(tree, want), alg
+        for k in range(1, n + 1):
+            assert np.array_equal(cut_merges(tree, k), cut_merges(want, k)), (alg, k)
