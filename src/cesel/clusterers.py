@@ -9,8 +9,9 @@ runs are flagged fully dependent.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -48,6 +49,12 @@ class Dataset:
             raise ValueError("dataset needs at least 2 samples and 1 feature")
         if not np.isfinite(self.samples).all():
             raise ValueError("processed samples must be finite")
+        if self.raw.shape != self.samples.shape:
+            raise ValueError(f"raw matrix is {self.raw.shape}, samples are {self.samples.shape}")
+        if self.labels is not None and self.labels.shape != (self.n,):
+            raise ValueError(f"labels of shape {self.labels.shape} for {self.n} samples")
+        if self.feature_names and len(self.feature_names) != self.d:
+            raise ValueError(f"{len(self.feature_names)} feature names for {self.d} features")
 
     @property
     def n(self) -> int:
@@ -101,7 +108,8 @@ class Partition:
         n = self.assignments.size
         sizes = tuple(int(s) for s in self.cluster_sizes() if s > 0)
         terms = tuple(s * math.log(s / n) for s in sizes)
-        return sizes, terms, sum(terms)
+        # left to right on every Python: from 3.12 on, sum() compensates
+        return sizes, terms, reduce(operator.add, terms)
 
 
 @dataclass(frozen=True)
@@ -192,34 +200,15 @@ def _memoized(data: Dataset, key, compute):
     return memo[key]
 
 
-# NumPy adds fewer than 8 terms of a reduction left to right and switches to
-# 8 interleaved accumulators from 8 terms on. Up to this many terms, adding
-# them one array at a time gives its result bit for bit, without one tiny
-# reduction per output element.
-_SEQUENTIAL_TERMS = 7
-
-# Centroids per block of the stacked differences in _sq_distances, which
-# bounds that temporary at _SQ_BLOCK_ROWS * n * d floats.
-_SQ_BLOCK_ROWS = 32
-
-
 def _sq_distances(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Squared distances (k x n) from each of k centroids to each of n samples.
 
-    Bit for bit the stacked ``diff = x[None, :, :] - centroids[:, None, :]``
-    summed as ``(diff * diff).sum(axis=-1)``: up to ``_SEQUENTIAL_TERMS``
-    coordinates are added one (k, n) array at a time, longer sums use the
-    reduction itself, over blocks of centroids, which leave each sum as it
-    is. Each centroid's row is contiguous, which is the layout the fuzzy
-    loop works in.
+    Each sum adds its d squared coordinate differences left to right, one
+    (k, n) array at a time, so it is bit for bit scipy's
+    ``cdist(centroids, x, "sqeuclidean")`` at every d, with no (k, n, d)
+    temporary. Each centroid's row is contiguous, which is the layout the
+    fuzzy loop works in.
     """
-    if x.shape[1] > _SEQUENTIAL_TERMS:
-        out = np.empty((len(centroids), len(x)))
-        for start in range(0, len(centroids), _SQ_BLOCK_ROWS):
-            block = slice(start, start + _SQ_BLOCK_ROWS)
-            diff = x[None, :, :] - centroids[block, None, :]
-            np.multiply(diff, diff, out=diff).sum(axis=-1, out=out[block])
-        return out
     columns = np.ascontiguousarray(x.T)
     diff = columns[0] - centroids[:, 0, None]
     acc = diff * diff
@@ -245,17 +234,13 @@ def _repair_empty(labels: np.ndarray, x: np.ndarray, centroids: np.ndarray, k: i
 
 
 def _cluster_means(x: np.ndarray, labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Each cluster's mean (k x d), bit for bit ``x[labels == c].mean(axis=0)``.
+    """Each cluster's mean (k x d): its rows added in sample order, over its size.
 
-    For d >= 2 NumPy sums a cluster's rows one after another, in sample
-    order, which is the order in which ``np.bincount`` adds its weights; so
-    one ``bincount`` per coordinate gives every cluster's sum. For d = 1
-    the rows form one contiguous axis, which NumPy sums pairwise, so that
-    case keeps the per-cluster mean. Every cluster must be non-empty.
+    ``np.bincount`` adds its weights in sample order, so one ``bincount``
+    per coordinate gives every cluster's sum. Every cluster must be
+    non-empty.
     """
     k = len(sizes)
-    if x.shape[1] == 1:
-        return np.array([x[labels == c].mean(axis=0) for c in range(k)])
     sums = np.stack([np.bincount(labels, weights=column, minlength=k) for column in x.T], axis=1)
     return sums / sizes[:, None]
 
@@ -267,7 +252,8 @@ def _lloyd(x: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray,
     samples drawn from ``rng``; empty clusters are repaired inside the
     loop, so the result always has k non-empty clusters. One ``bincount``
     gives the cluster sizes, the repair runs only when one is zero, and
-    :func:`_cluster_means` gives the per-cluster means bit for bit.
+    :func:`_cluster_means` adds each cluster's rows in sample order (README
+    "Summation order").
     """
     n = x.shape[0]
     init_idx = rng.choice(n, size=k, replace=False)
@@ -306,11 +292,10 @@ def _memberships(d2: np.ndarray, inv: np.ndarray, out: np.ndarray) -> np.ndarray
     centroids splits its membership evenly among those. ``inv`` is
     scratch of the same shape.
 
-    Bit for bit the same as the (n x k) expression ``d2 ** -1.0``, summed
-    per row and divided: NumPy computes that power as the reciprocal, and
-    adds the k column terms in order up to 7 terms, as the outer-axis sum
-    of the C-order (k, n) array does one row at a time, or reduces them
-    as a C-order (n, k) copy from 8 on (see ``_SEQUENTIAL_TERMS``).
+    A column's total adds its k reciprocals left to right: the outer-axis
+    sum of a C-order (k, n) array adds one row at a time. That takes
+    n >= 2, as in every FCM run (a dataset holds two samples or more);
+    NumPy sums a lone column as one vector, pairwise from 8 terms.
     Zero-distance entries are left out of the reciprocal, so nothing
     divides by zero; their columns are overwritten at the end.
     """
@@ -319,11 +304,7 @@ def _memberships(d2: np.ndarray, inv: np.ndarray, out: np.ndarray) -> np.ndarray
     np.divide(1.0, d2, out=inv, where=~zero if any_zero else True)
     if any_zero:
         inv[zero] = 1.0  # any finite positive value keeps the totals finite
-    if d2.shape[0] > _SEQUENTIAL_TERMS:
-        total = np.ascontiguousarray(inv.T).sum(axis=1)
-    else:
-        total = inv.sum(axis=0)
-    np.divide(inv, total, out=out)
+    np.divide(inv, inv.sum(axis=0), out=out)
     if any_zero:
         zero_cols = zero.any(axis=0)
         hits = zero[:, zero_cols]
@@ -370,13 +351,14 @@ def _fcm(
     from, or after ``_MAX_ITER`` membership evaluations.
 
     It keeps memberships, squared distances and weights as C-order (k, n)
-    arrays, and repeats the arithmetic of the (n, k) formulation bit for
-    bit in each plain step:
+    arrays, and each plain step adds its sums left to right (README
+    "Summation order"):
 
-    - squared distances come from ``_sq_distances``, already (k, n);
+    - squared distances come from ``_sq_distances``, already (k, n), and
+      the membership totals from ``_memberships``;
     - a centroid's denominator, the sum of its n weights, is the last
-      entry of ``np.add.accumulate``, which adds left to right as the
-      (n, k) column sum did; a row reduction would add pairwise;
+      entry of ``np.add.accumulate``, which adds left to right; a row
+      reduction would add pairwise;
     - the weighted sum of samples is ``w_nk.T @ x`` on a C-order (n, k)
       copy of the weights: BLAS may round differently when handed the
       same matrix in another memory layout.

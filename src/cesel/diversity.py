@@ -10,11 +10,13 @@ diversity clears the threshold (the first candidate always joins).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
-from .clusterers import _SEQUENTIAL_TERMS, Partition
+from .clusterers import Partition
 from .errors import EmptyCommittee
 
 
@@ -52,17 +54,8 @@ def _apmm(numerator: float, own: float, ref_term: float) -> float:
 
 
 def _mean(scores: list[float]) -> float:
-    """``float(np.mean(scores))`` bit for bit, without an array for short lists.
-
-    NumPy adds up to ``_SEQUENTIAL_TERMS`` terms left to right, as this loop
-    does, and more of them pairwise.
-    """
-    if len(scores) > _SEQUENTIAL_TERMS:
-        return float(np.mean(scores))
-    total = 0.0
-    for score in scores:
-        total += score
-    return total / len(scores)
+    """The mean of ``scores``, added left to right."""
+    return reduce(operator.add, scores) / len(scores)
 
 
 def _raw_scores(p: Partition, refs: list[Partition]) -> tuple[float, ...]:

@@ -78,6 +78,21 @@ class TestPreprocess:
         assert np.isnan(ds.raw[0, 1])
         assert ds.raw[0, 0] == 1.0
 
+    @pytest.mark.parametrize("labels", [[0, 1], [0, 1, 0, 1, 0, 1], [[0], [1], [0], [1], [0]]])
+    def test_labels_must_give_one_label_per_sample(self, labels):
+        with pytest.raises(ValueError, match="labels"):
+            preprocess(np.arange(10.0).reshape(5, 2), labels=labels)
+
+    @pytest.mark.parametrize("names", [("a",), ("a", "b", "c")])
+    def test_feature_names_must_name_every_column(self, names):
+        with pytest.raises(ValueError, match="feature names"):
+            preprocess(np.arange(10.0).reshape(5, 2), feature_names=names)
+
+    @pytest.mark.parametrize("raw", [np.zeros((3, 7)), np.zeros((5, 3)), np.zeros(10)])
+    def test_raw_matrix_must_match_the_samples(self, raw):
+        with pytest.raises(ValueError, match="raw matrix"):
+            Dataset(samples=np.arange(10.0).reshape(5, 2), raw=raw)
+
 
 class TestKmeans:
     def test_rectangle_corners(self):

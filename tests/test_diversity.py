@@ -1,17 +1,22 @@
 """Cluster-vs-partition similarity scores and the admission gate."""
+import builtins
 import json
 import math
+import sys
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cesel import assets
 from cesel.clusterers import Partition
 from cesel.diversity import DiversityReport, _mean, aapmm, aapmm_raw, admit, apmm, uniformity
 from cesel.errors import EmptyCommittee
 from cesel.harness import gen_blobs
+from cesel.independency import build_aidm
 from cesel.clusterers import ClustererConfig, run_kmeans
+from summation import PAIRWISE_TERMS, left_to_right
 
 
 def part(assignments, k=None):
@@ -223,9 +228,40 @@ class TestAdmit:
 
 
 # --- the gate on cached size terms --------------------------------------------
-# Per-member scoring as it was before each partition kept its size terms,
-# verbatim: the reference's term from a fresh bincount for every pair, and
-# the mean through np.mean. The gate must equal it bit for bit.
+# The gate adds every sum left to right: a reference's size terms, and the
+# cluster scores it averages. ``ltr_*`` below score each pair that way in
+# plain Python, and the gate must equal them bit for bit.
+#
+# ``seed_*`` is per-member scoring as it was before each partition kept its
+# size terms, verbatim: the reference's term from a fresh bincount for every
+# pair, through the builtin sum, and the mean through np.mean. Those add
+# left to right only below 8 terms (np.mean) and before Python 3.12 (whose
+# sum compensates), so the gate must equal them bit for bit only there.
+
+SEED_SUM_ADDS_LEFT_TO_RIGHT = sys.version_info < (3, 12)
+
+
+def ltr_aapmm_raw(p, ref):
+    n = len(p.assignments)
+    sizes = [int(s) for s in np.bincount(ref.assignments) if s > 0]
+    ref_term = left_to_right([s * math.log(s / n) for s in sizes])
+    scores = [seed_apmm(int(n_c), n, ref_term) for n_c in p.cluster_sizes() if n_c > 0]
+    return left_to_right(scores) / len(scores)
+
+
+def ltr_admit(p, committee, d_threshold):
+    if not committee:
+        return DiversityReport(uniformity=0.0, div=1.0, raw_scores=(), admitted=True)
+    raw = tuple(ltr_aapmm_raw(p, member) for member in committee)
+    uni = max(min(1.0, max(0.0, r)) for r in raw)
+    div = 1.0 - uni
+    return DiversityReport(uniformity=uni, div=div, raw_scores=raw, admitted=div >= d_threshold)
+
+
+def seed_comparable(p):
+    """Whether the seed scoring of ``p`` adds left to right (see above)."""
+    return SEED_SUM_ADDS_LEFT_TO_RIGHT and np.count_nonzero(p.cluster_sizes()) < PAIRWISE_TERMS
+
 
 def seed_size_entropy_term(partition, n_total):
     sizes = np.bincount(partition.assignments, minlength=partition.k)
@@ -292,32 +328,39 @@ class TestCachedGate:
         committee = data.draw(st.lists(partitions(n), max_size=6))
         d_threshold = data.draw(st.floats(0.0, 1.0))
         report = admit(p, committee, d_threshold)
-        assert bits(report) == bits(seed_admit(p, committee, d_threshold))
+        assert bits(report) == bits(ltr_admit(p, committee, d_threshold))
+        if seed_comparable(p):
+            assert bits(report) == bits(seed_admit(p, committee, d_threshold))
         assert_plain(report)
         for ref in committee:
-            assert aapmm_raw(p, ref).hex() == seed_aapmm_raw(p, ref).hex()
+            assert aapmm_raw(p, ref).hex() == ltr_aapmm_raw(p, ref).hex()
         if committee:
             assert uniformity(p, committee) == report.uniformity
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_every_cluster_count_around_the_pairwise_sum(self, k):
         # np.mean adds left to right below 8 terms and pairwise from 8 on;
-        # the gate must follow it on both sides.
+        # the gate adds left to right on both sides.
         rng = np.random.default_rng(100 + k)
         n = 60
         p = part(np.concatenate([np.arange(k), rng.integers(0, k, n - k)]), k)
         committee = [part(rng.integers(0, m, n), m) for m in (1, 2, 5, 9, 12)]
         committee.append(p)
         report = admit(p, committee, 0.3)
-        assert bits(report) == bits(seed_admit(p, committee, 0.3))
+        assert bits(report) == bits(ltr_admit(p, committee, 0.3))
+        if seed_comparable(p):
+            assert bits(report) == bits(seed_admit(p, committee, 0.3))
         assert_plain(report)
 
     def test_mean_matches_numpy_on_both_sides_of_eight(self):
+        # left to right at every length, which is np.mean below 8 terms
         rng = np.random.default_rng(71)
         for length in range(1, 21):
             for _ in range(50):
                 scores = list(rng.random(length) * 10.0 ** rng.integers(-3, 4, length))
-                assert _mean(scores).hex() == float(np.mean(scores)).hex()
+                assert _mean(scores).hex() == (left_to_right(scores) / length).hex()
+                if length < PAIRWISE_TERMS:
+                    assert _mean(scores).hex() == float(np.mean(scores)).hex()
 
     def test_singletons_and_full_clusters(self):
         n = 12
@@ -326,9 +369,32 @@ class TestCachedGate:
         halves = part(np.repeat([0, 1], n // 2))
         for p in (singletons, full, halves):
             committee = [singletons, full, halves]
-            assert bits(admit(p, committee, 0.5)) == bits(seed_admit(p, committee, 0.5))
+            report = admit(p, committee, 0.5)
+            assert bits(report) == bits(ltr_admit(p, committee, 0.5))
+            if seed_comparable(p):
+                assert bits(report) == bits(seed_admit(p, committee, 0.5))
         # a full cluster against a single full cluster: denominator 0, score 1
         assert aapmm_raw(full, full) == 1.0 and admit(full, [full], 0.0).div == 0.0
+
+    def test_same_bits_when_builtin_sum_compensates(self, monkeypatch):
+        # Python 3.12's sum() adds floats with compensation; sizes (2, 3, 3)
+        # of n = 8 are one sum that it rounds differently from 3.11's.
+        rng = np.random.default_rng(79)
+        label_rows = [np.repeat([0, 1, 2], [2, 3, 3])] + [
+            rng.integers(0, k, n) for n, k in [(8, 3), (20, 4), (60, 9), (150, 12)] * 3]
+
+        def scores():
+            parts = [part(labels) for labels in label_rows]
+            size_terms = [p.size_terms for p in parts]
+            reports = [bits(admit(p, [q for q in parts if len(q) == len(p)], 0.2))
+                       for p in parts]
+            aidm = build_aidm(assets.load_script_arrays())
+            return size_terms, reports, aidm.algorithm_ids, aidm.values.tobytes()
+
+        plain = scores()
+        assert plain[0][0][2].hex() == left_to_right(plain[0][0][1]).hex()
+        monkeypatch.setattr(builtins, "sum", math.fsum)
+        assert scores() == plain
 
     def test_plain_types_for_any_threshold_type(self):
         p, q = part([0, 0, 1, 1]), part([0, 1, 0, 1])

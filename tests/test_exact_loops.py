@@ -11,6 +11,12 @@ straightforward version exactly. The oracles below are those versions,
 kept verbatim (the spectral one takes its distances from the
 ``_sq_distances`` below and reads the module's ``_lloyd`` and
 constants), and every comparison is ``array_equal``, not a tolerance.
+The clusterers add their own sums left to right at any term count, where
+the oracles' NumPy reductions switch order from 8 terms on (8 coordinates,
+or 8 members of a one-feature cluster). So the cluster means and Lloyd's
+loop are checked against left-to-right oracles as well: ``ltr_lloyd``
+runs ``oracle_lloyd``, whose cluster mean is an argument, with both its
+distances and its means added left to right.
 
 ``_fcm`` is the exception: it extrapolates its centroid steps (SQUAREM,
 safeguarded by the FCM objective), so it takes other steps than the
@@ -23,6 +29,7 @@ than at the start, a settled stopping point) are checked as properties.
 ``weac`` is checked against ``eac``: unit weights give ``eac`` itself, and
 other weights scale each entry's vote.
 """
+import math
 import warnings
 from unittest import mock
 
@@ -38,6 +45,7 @@ from cesel.consensus import CommitteeEntry, _signatures, eac, weac
 from cesel.errors import DegenerateSpectrum, EmptyCommittee, InvalidK, WeightMismatch
 from cesel.harness import gen_blobs, gen_half_ring
 from cesel.independency import BasicParams
+from summation import PAIRWISE_TERMS, left_to_right
 
 _FUZZIFIER = 2.0
 _MAX_ITER = 300
@@ -82,7 +90,7 @@ def _repair_empty(labels, x, centroids, k) -> None:
         centroids[c] = x[far]
 
 
-def oracle_lloyd(x, k, rng):
+def oracle_lloyd(x, k, rng, mean=lambda rows: rows.mean(axis=0)):
     n = x.shape[0]
     init_idx = rng.choice(n, size=k, replace=False)
     centroids = x[init_idx].copy()
@@ -91,12 +99,23 @@ def oracle_lloyd(x, k, rng):
     for _ in range(_MAX_ITER):
         labels = np.argmin(_sq_distances(x, centroids), axis=1)
         _repair_empty(labels, x, centroids, k)
-        new_centroids = np.array([x[labels == c].mean(axis=0) for c in range(k)])
+        new_centroids = np.array([mean(x[labels == c]) for c in range(k)])
         shift = float(np.abs(new_centroids - centroids).max())
         centroids = new_centroids
         if shift < _TOL:
             break
     return labels, initial
+
+
+def ltr_lloyd(x, k, rng):
+    """``oracle_lloyd`` with every sum added left to right.
+
+    The distances add one coordinate at a time at any d, and a cluster's
+    rows are added in sample order; the earlier loop does the same only
+    for 2 to 7 coordinates.
+    """
+    with mock.patch.dict(globals(), {"_SEQUENTIAL_TERMS": math.inf}):
+        return oracle_lloyd(x, k, rng, mean=lambda rows: left_to_right(rows) / len(rows))
 
 
 def _memberships(d2: np.ndarray) -> np.ndarray:
@@ -389,9 +408,13 @@ def test_fcm_stops_at_the_evaluation_cap(cap):
 def test_lloyd_matches_earlier_loop(case, seed):
     x, k = case
     labels, initial = clusterers._lloyd(x, k, np.random.default_rng(seed))
-    o_labels, o_initial = oracle_lloyd(x, k, np.random.default_rng(seed))
+    o_labels, o_initial = ltr_lloyd(x, k, np.random.default_rng(seed))
     assert np.array_equal(labels, o_labels)
     assert np.array_equal(initial, o_initial)
+    if 1 < x.shape[1] < PAIRWISE_TERMS:
+        o_labels, o_initial = oracle_lloyd(x, k, np.random.default_rng(seed))
+        assert np.array_equal(labels, o_labels)
+        assert np.array_equal(initial, o_initial)
 
 
 def test_lloyd_repairs_empty_clusters_as_before():
@@ -407,10 +430,19 @@ def test_lloyd_repairs_empty_clusters_as_before():
         assert len(np.unique(labels)) == 5
 
 
+def ltr_cluster_means(x, labels, k):
+    """Each cluster's mean, its rows added in sample order in Python floats."""
+    means = []
+    for c in range(k):
+        rows = x[labels == c].tolist()
+        means.append([left_to_right(column) / len(rows) for column in zip(*rows)])
+    return np.array(means)
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_cluster_means_match_per_cluster_mean(data):
-    # long clusters, so NumPy's pairwise sum (from 9 terms on) shows for d = 1
+    # long clusters, so a pairwise sum (NumPy's from 8 terms on) would show
     d = data.draw(st.integers(1, 12))
     n = data.draw(st.integers(1, 80))
     k = data.draw(st.integers(1, min(4, n)))
@@ -419,8 +451,13 @@ def test_cluster_means_match_per_cluster_mean(data):
         arrays(np.int64, n - k, elements=st.integers(0, k - 1)))])
     labels = np.asarray(data.draw(st.permutations(labels)), dtype=np.intp)
     sizes = np.bincount(labels, minlength=k)
-    expected = np.array([x[labels == c].mean(axis=0) for c in range(k)])
-    assert np.array_equal(clusterers._cluster_means(x, labels, sizes), expected)
+    got = clusterers._cluster_means(x, labels, sizes)
+    assert np.array_equal(got, ltr_cluster_means(x, labels, k))
+    # The earlier per-cluster mean: NumPy adds the rows of a (size, d) block
+    # one at a time for d >= 2, but sums a lone column as one vector.
+    if d > 1 or sizes.max() < PAIRWISE_TERMS:
+        expected = np.array([x[labels == c].mean(axis=0) for c in range(k)])
+        assert np.array_equal(got, expected)
 
 
 # --- sparse spectral ---------------------------------------------------------------

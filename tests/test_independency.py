@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
+from scipy.spatial.distance import cdist
 
 from cesel import assets
 from cesel.cail import GraphArray
@@ -363,12 +364,21 @@ def param_rows(draw, width):
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_bpi_is_symmetric_bit_for_bit(data):
-    # unequal widths meet through _pad_to_common, as in ai_weights; widths
-    # from 8 on take the distance kernel's stacked sum
+    # unequal widths meet through _pad_to_common, as in ai_weights
     p = BasicParams("SPS", data.draw(param_rows(data.draw(st.integers(1, 9)))))
     q = BasicParams("SPS", data.draw(param_rows(data.draw(st.integers(1, 9)))))
     p, q = _pad_to_common(p, q)
     assert bpi(p, q) == bpi(q, p)
+
+
+@pytest.mark.parametrize("d", range(1, 41))
+def test_bpi_matches_greedy_matching_on_cdist(d):
+    # the distance kernel adds left to right at every width, as cdist does
+    rng = np.random.default_rng(d)
+    for r1, r2 in [(1, 1), (3, 5), (6, 6), (9, 4)]:
+        p, q = (BasicParams("K", rng.normal(size=(r, d))) for r in (r1, r2))
+        t = float(np.mean(seed_min_matching(cdist(p.rows, q.rows))))
+        assert bpi(p, q) == t / (1.0 + t)
 
 
 def seed_ai_weights(committee, aidm):

@@ -1,16 +1,18 @@
-"""Distance and membership kernels against copies of their earlier forms.
+"""Distance and membership kernels against left-to-right oracles and their earlier forms.
 
-The clusterers add short sums one coordinate (or one cluster) at a time
-instead of reducing a stacked axis. The oracles below are the earlier
-broadcast expressions, kept verbatim; every kernel must equal them bit for
-bit, on both sides of the 8-term point where NumPy changes its summation
-order.
+The clusterers add every sum of their own left to right, one coordinate
+(or one cluster) at a time, at any term count. Each kernel must equal a
+plain Python oracle that adds its terms in that order, bit for bit. The
+earlier broadcast expressions are kept verbatim as references: NumPy
+reduces them left to right below 8 terms and in another order from 8 on,
+so the kernels must equal them bit for bit up to 7 terms.
 
 The linkage clusterers and SPS take their Euclidean and cosine distances
-from scipy's condensed ``pdist``. The dense matrices they were built from
-before are kept below as oracles, verbatim: the Euclidean distances must
-equal them bit for bit up to 7 coordinates, and the linkage cuts must
-match on tie-free data at any dimension.
+from scipy's condensed ``pdist``, which adds the squared coordinate
+differences left to right too: the Euclidean distances must equal the
+clusterers' own at any dimension, the earlier dense matrices bit for bit
+up to 7 coordinates, and the linkage cuts must match those matrices' cuts
+on tie-free data at any dimension.
 
 The Hamming distances are ``pdist(x, "hamming")`` too: the share of
 coordinates that differ, by exact inequality. The earlier kernel, which
@@ -24,12 +26,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.cluster.hierarchy import linkage
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from cesel import clusterers
 from cesel._agglo import chain_tree, cut_merges, linkage_merge
 from cesel.clusterers import (LINKAGE_IDS, ClustererConfig, Dataset, _cosine_distances,
                               _linkage_tree, _sq_distances, run_linkage)
+from summation import PAIRWISE_TERMS, left_to_right
 
 HAMMING_IDS = [alg for alg in LINKAGE_IDS if alg[2] == "H"]
 # the earlier kernel's tolerance: gaps up to it counted as equal
@@ -39,6 +42,12 @@ _HAMMING_TOL = 1e-9
 def oracle_sq_distances(x, centroids):
     diff = x[:, None, :] - centroids[None, :, :]
     return (diff * diff).sum(axis=2)
+
+
+def ltr_sq_distances(x, centroids):
+    """(k, n) squared distances, each added coordinate by coordinate."""
+    return np.array([[left_to_right([(a - b) * (a - b) for a, b in zip(row, c)])
+                      for row in x.tolist()] for c in centroids.tolist()])
 
 
 def oracle_memberships(d2, m=2.0):
@@ -75,18 +84,30 @@ def points(draw, max_rows=12, max_d=12):
 @settings(max_examples=300, deadline=None)
 @given(x=points(), data=st.data())
 def test_sq_distances_match_broadcast_sum(x, data):
-    # up to two full blocks of centroids and one more (see _SQ_BLOCK_ROWS)
-    k = data.draw(st.integers(1, 2 * clusterers._SQ_BLOCK_ROWS + 1))
+    k = data.draw(st.integers(1, 65))
     centroids = data.draw(arrays(np.float64, (k, x.shape[1]), elements=COORD))
     # the kernel returns the (k, n) layout the clusterers work in
-    assert np.array_equal(clusterers._sq_distances(x, centroids),
-                          oracle_sq_distances(x, centroids).T)
+    got = clusterers._sq_distances(x, centroids)
+    assert np.array_equal(got, ltr_sq_distances(x, centroids))
+    if x.shape[1] < PAIRWISE_TERMS:
+        assert np.array_equal(got, oracle_sq_distances(x, centroids).T)
+
+
+@pytest.mark.parametrize("d", range(1, 41))
+def test_sq_distances_match_cdist(d):
+    # scipy's squared Euclidean distances add left to right at every d
+    rng = np.random.default_rng(d)
+    for n, k in [(1, 1), (2, 9), (13, 4), (40, 12)]:
+        x = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, d))
+        centroids = rng.normal(size=(k, d))
+        assert np.array_equal(clusterers._sq_distances(x, centroids),
+                              cdist(centroids, x, "sqeuclidean"))
 
 
 def test_sq_distances_memory_is_bounded():
     # Stacking all 1500 centroids at d=12 would take two (1500, 1500, 12)
-    # temporaries, 216 MB each; in blocks the peak is the n x n result and
-    # one block.
+    # temporaries, 216 MB each; the column loop keeps the n x n result and
+    # one n x n difference.
     x = np.random.default_rng(0).normal(size=(1500, 12))
     tracemalloc.start()
     try:
@@ -100,7 +121,8 @@ def test_sq_distances_memory_is_bounded():
 # --- Euclidean and cosine distances against the earlier dense kernels -------
 
 def euclidean_matrix(x: np.ndarray) -> np.ndarray:
-    return np.sqrt(_sq_distances(x, x))
+    # the earlier kernel's squared distances were the broadcast sum
+    return np.sqrt(oracle_sq_distances(x, x))
 
 
 def cosine_matrix(x: np.ndarray) -> np.ndarray:
@@ -118,20 +140,22 @@ def cosine_matrix(x: np.ndarray) -> np.ndarray:
 
 
 @settings(max_examples=200, deadline=None)
-@given(x=points(max_rows=16, max_d=clusterers._SEQUENTIAL_TERMS))
+@given(x=points(max_rows=16))
 def test_condensed_euclidean_matches_earlier_matrix(x):
-    # Up to 7 coordinates both add the squared differences left to right.
-    expected = euclidean_matrix(x)
-    assert np.array_equal(expected, np.sqrt(np.maximum(oracle_sq_distances(x, x), 0.0)))
-    assert np.array_equal(squareform(pdist(x)), expected)
+    # pdist and the clusterers' kernel add the squared differences left to
+    # right at every d; the earlier stacked sum does so up to 7 coordinates.
+    got = squareform(pdist(x))
+    assert np.array_equal(got, np.sqrt(_sq_distances(x, x)))
+    if x.shape[1] < PAIRWISE_TERMS:
+        assert np.array_equal(got, euclidean_matrix(x))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(12, 40), st.integers(1, 12), st.integers(0, 2**32 - 1),
        st.sampled_from([alg for alg in LINKAGE_IDS if alg[2] != "H"]))
 def test_linkage_cuts_match_earlier_matrices_on_tie_free_points(n, d, seed, alg):
-    # From 8 coordinates on the distances move by ulps, and the cosine
-    # distances at any d; on tie-free data no cut may change.
+    # The cosine distances move by ulps from the earlier matrix at any d;
+    # on tie-free data no cut may change.
     x = np.random.default_rng(seed).normal(size=(n, d))
     dist = {"E": euclidean_matrix, "C": cosine_matrix}[alg[2]](x)
     condensed = squareform(dist, checks=False)
@@ -171,21 +195,44 @@ SQ_DIST = st.one_of(
 )
 
 
+def ltr_memberships(d2):
+    """(n, k) memberships with fuzzifier 2, each row's total added left to right.
+
+    A row with a squared distance of at most 1e-8 splits its membership
+    evenly among those entries.
+    """
+    u = np.empty_like(d2)
+    for i, row in enumerate(d2.tolist()):
+        hits = [v <= 1e-8 for v in row]
+        if any(hits):
+            u[i] = np.divide(hits, sum(hits))  # integer count: exact
+            continue
+        inv = [1.0 / v for v in row]  # every v > 1e-8, or NaN
+        total = left_to_right(inv)
+        u[i] = [v / total for v in inv]
+    return u
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_fcm_memberships_match_broadcast_sum(data):
     k = data.draw(st.integers(1, 10))
     n = data.draw(st.integers(1, 12))
     d2 = data.draw(arrays(np.float64, (n, k), elements=SQ_DIST))
-    with np.errstate(over="ignore"):  # 1 / subnormal overflows in the oracle
-        expected = oracle_memberships(d2)
     # the kernel works on the transposed (k, n) layout; its scratch starts
     # as NaN so that no stale entry can leak into the result
     d2_kn = np.ascontiguousarray(d2.T)
     scratch = np.full_like(d2_kn, np.nan)
     with np.errstate(all="raise"):
         got = clusterers._memberships(d2_kn, scratch, np.empty_like(d2_kn))
-    assert np.array_equal(got.T, expected, equal_nan=True)
+    with np.errstate(over="ignore"):  # 1 / subnormal overflows to inf
+        if k < PAIRWISE_TERMS:
+            assert np.array_equal(got.T, oracle_memberships(d2), equal_nan=True)
+        # The totals add one row of the (k, n) reciprocals at a time, for
+        # n >= 2 as in every FCM run (a Dataset holds two samples or more);
+        # a lone column, n = 1, NumPy sums as one vector, pairwise from 8.
+        if n > 1 or k < PAIRWISE_TERMS:
+            assert np.array_equal(got.T, ltr_memberships(d2), equal_nan=True)
 
 
 # -0.0 beside 0.0, subnormals, values one ulp apart, and gaps at the earlier
