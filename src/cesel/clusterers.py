@@ -40,8 +40,9 @@ class Dataset:
     raw: np.ndarray                        # (n, d) float, NaN = missing
     labels: np.ndarray | None = None       # (n,) int class labels, evaluation only
     feature_names: tuple[str, ...] = ()
-    # linkage ID -> read-only merge tree, ("SPS", k) -> read-only embedding or
-    # the message of its DegenerateSpectrum; None unless made by with_memo()
+    # linkage ID -> read-only merge tree, (linkage ID, k) -> its read-only cut,
+    # ("SPS", k) -> read-only embedding or the message of its
+    # DegenerateSpectrum; None unless made by with_memo()
     _memo: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -67,9 +68,10 @@ class Dataset:
     def with_memo(self) -> Dataset:
         """This dataset if it keeps the clusterers' seed-free results, else a copy that does.
 
-        Linkage runs on it share one merge tree per linkage ID, SPS runs one
-        embedding per k; both are read-only, and nothing n x n is kept. The
-        memo lives as long as the copy; a dataset without one is left as it is.
+        Linkage runs on it share one merge tree per linkage ID and one cut per
+        (ID, k), SPS runs one embedding per k; all are read-only, and nothing
+        n x n is kept. The memo lives as long as the copy; a dataset without
+        one is left as it is.
         """
         return self if self._memo is not None else replace(self, _memo={})
 
@@ -494,7 +496,8 @@ def run_linkage(data: Dataset, cfg: ClustererConfig) -> tuple[Partition, BasicPa
     deterministic partition.
 
     The tree depends on neither k nor the seed: on a dataset from
-    :meth:`Dataset.with_memo` it is built once per linkage ID, then only cut.
+    :meth:`Dataset.with_memo` it is built once per linkage ID and cut once
+    per (ID, k); a repeated draw reuses the cut's read-only labels.
     """
     alg = cfg.algorithm_id
     if alg not in LINKAGE_IDS:
@@ -502,7 +505,7 @@ def run_linkage(data: Dataset, cfg: ClustererConfig) -> tuple[Partition, BasicPa
     if cfg.k > data.n:
         raise InvalidK(f"k={cfg.k} exceeds sample count {data.n}")
     tree = _memoized(data, alg, lambda: _linkage_tree(data.samples, alg))
-    labels = cut_merges(tree, cfg.k)
+    labels = _memoized(data, (alg, cfg.k), lambda: cut_merges(tree, cfg.k))
     code = np.array([["SACW".index(alg[0]), "EHC".index(alg[2])]], dtype=float)
     return Partition(labels, cfg.k), BasicParams(alg, code)
 
@@ -514,28 +517,31 @@ def _nearest(dist: np.ndarray, t: int) -> np.ndarray:
 
     Neighbours rank by (distance, index). With its diagonal at -1, a
     sample's t+1 smallest entries are itself and its t neighbours: one
-    partition finds the (t+1)-th smallest value of each row, every entry
-    below it is taken, and entries equal to it fill the remaining places
-    in index order, as a stable sort of the row would take them.
+    partition finds the (t+1)-th smallest value of each row, and every
+    entry up to it is taken. Only on a row with more entries equal to it
+    than places left do those entries fill the places in index order, as
+    a stable sort of the row would take them.
     """
     rows = np.arange(dist.shape[0])
     ranked = dist.copy()
     ranked[rows, rows] = -1.0
     kth = np.partition(ranked, t, axis=1)[:, [t]]
-    keep = ranked < kth
-    tie = ranked == kth
-    need = t + 1 - keep.sum(axis=1, keepdims=True)
-    keep |= tie & (np.cumsum(tie, axis=1) <= need)
+    keep = ranked <= kth
+    over = np.flatnonzero(keep.sum(axis=1) > t + 1)
+    if over.size:
+        sub, sub_kth = ranked[over], kth[over]
+        tie = sub == sub_kth
+        need = t + 1 - (sub < sub_kth).sum(axis=1, keepdims=True)
+        keep[over] &= ~tie | (np.cumsum(tie, axis=1) <= need)
     keep[rows, rows] = False
     return keep
 
 
-def _spectral_embedding(x: np.ndarray, k: int) -> np.ndarray:
-    """The seed-free part of :func:`run_spectral_sparse`: its (n, k) embedding.
+def _normalized_similarity(x: np.ndarray) -> np.ndarray:
+    """The degree-normalized t-NN similarity D^-1/2 W D^-1/2 of samples ``x``, n x n.
 
-    Raises :class:`DegenerateSpectrum` on an isolated vertex or fewer than
-    k usable eigenvectors. The similarity is built in the distance
-    matrix's own buffer, with the arithmetic of
+    Raises :class:`DegenerateSpectrum` on an isolated vertex. W is built in
+    the distance matrix's own buffer, with the arithmetic of
     ``np.where(keep, np.exp(-(dist**2) / (2 * sigma**2)), 0.0)``.
     """
     from scipy.spatial.distance import pdist, squareform
@@ -560,12 +566,26 @@ def _spectral_embedding(x: np.ndarray, k: int) -> np.ndarray:
     inv_sqrt = 1.0 / np.sqrt(degree)
     similarity *= inv_sqrt[:, None]
     similarity *= inv_sqrt[None, :]
+    return similarity
 
-    eigvals, eigvecs = np.linalg.eigh(similarity)
-    top = np.argsort(-np.abs(eigvals), kind="stable")[:k]
-    embedding = eigvecs[:, top]
-    if not np.isfinite(embedding).all() or embedding.shape[1] < k:
-        raise DegenerateSpectrum(f"fewer than {k} usable eigenvectors")
+
+def _spectral_embedding(x: np.ndarray, k: int) -> np.ndarray:
+    """The seed-free part of :func:`run_spectral_sparse`: its (n, k) embedding.
+
+    The eigenvectors of the k largest eigenvalues, in descending order,
+    with each row scaled to unit length. LAPACK's MRRR driver (``evr``)
+    computes only those k pairs. Raises :class:`DegenerateSpectrum` on an
+    isolated vertex or eigenvectors that are not finite.
+    """
+    from scipy.linalg import eigh
+
+    similarity = _normalized_similarity(x)
+    n = similarity.shape[0]
+    _, eigvecs = eigh(similarity, subset_by_index=[n - k, n - 1], driver="evr",
+                      overwrite_a=True, check_finite=False)
+    embedding = eigvecs[:, ::-1]
+    if not np.isfinite(embedding).all():
+        raise DegenerateSpectrum("eigenvectors are not finite")
     row_norm = np.linalg.norm(embedding, axis=1, keepdims=True)
     return embedding / np.where(row_norm > 0, row_norm, 1.0)
 
@@ -577,11 +597,12 @@ def run_spectral_sparse(data: Dataset, cfg: ClustererConfig) -> tuple[Partition,
     ranked by distance with ties going to the smaller index; the graph is
     the symmetric union of those links, with no self-loops. Linked pairs
     get a Gaussian kernel whose bandwidth is the median distance over all
-    pairs. The graph is held in a dense n x n matrix: the degree-normalized
-    similarity goes to dense ``eigh``, the O(n^3) step, and the samples are
-    embedded into its top-k eigenvectors by magnitude, row-normalized and
-    clustered with the seeded assignment loop. Starting parameters are the
-    initial centroids in the embedded space.
+    pairs. The graph is held in a dense n x n matrix. The samples are
+    embedded into the eigenvectors of its k largest degree-normalized
+    eigenvalues (Ng, Jordan & Weiss, 2002), which LAPACK computes without
+    the other n - k, row-normalized and clustered with the seeded
+    assignment loop. Starting parameters are the initial centroids in the
+    embedded space.
 
     Only the assignment loop reads the seed: on a dataset from
     :meth:`Dataset.with_memo` the embedding is computed once per k.

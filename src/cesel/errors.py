@@ -76,7 +76,7 @@ class ColumnOverflow(CeselError):
 
 
 class DegenerateSpectrum(CeselError):
-    """The spectral embedding has fewer usable directions than clusters."""
+    """The spectral embedding is undefined: an isolated vertex or non-finite eigenvectors."""
 
 
 class EmptyCommittee(CeselError):

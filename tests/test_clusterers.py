@@ -276,7 +276,13 @@ class TestLinkage:
                 assert np.array_equal(got.assignments, want.assignments), (alg, k)
                 assert got_params.algorithm_id == want_params.algorithm_id
                 assert np.array_equal(got_params.rows, want_params.rows)
-        assert set(memo._memo) == set(LINKAGE_IDS) and data._memo is None
+        assert data._memo is None
+        cuts = {(alg, k) for alg in LINKAGE_IDS for k in ks}
+        assert set(memo._memo) == set(LINKAGE_IDS) | cuts
+        for alg, k in cuts:
+            labels = memo._memo[alg, k]
+            assert not labels.flags.writeable
+            assert np.array_equal(labels, cut_merges(memo._memo[alg], k)), (alg, k)
 
 
 class TestDistanceMatrices:

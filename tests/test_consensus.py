@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cesel import clusterers
+from cesel._agglo import cut_merges
 from cesel.clusterers import LINKAGE_IDS, Dataset, Partition, run_algorithm
 from cesel.consensus import (
     CommitteeEntry,
@@ -587,19 +588,22 @@ class TestCandidateRuns:
         run_ces(RING, LINKAGE_CFG)
         memos = {id(d._memo): d._memo for d, _ in seen}
         assert len(memos) == 2
-        trees = embeddings = 0
+        trees = cuts = embeddings = 0
         for memo in memos.values():
             for key, value in memo.items():
                 if key in LINKAGE_IDS:
                     trees += 1
                     assert value.shape == (RING.n - 1, 4)
+                elif key[0] in LINKAGE_IDS:
+                    cuts += 1
+                    assert np.array_equal(value, cut_merges(memo[key[0]], key[1]))
                 else:
                     embeddings += 1
                     assert key[0] == "SPS" and value.shape == (RING.n, key[1])
                 assert not value.flags.writeable
                 with pytest.raises(ValueError):
-                    value[0, 0] = 0.0
-        assert trees and embeddings
+                    value[(0,) * value.ndim] = 0
+        assert trees and cuts and embeddings
 
     def test_degenerate_spectrum_is_remembered(self, monkeypatch):
         computed = []

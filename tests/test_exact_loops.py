@@ -2,15 +2,19 @@
 against their earlier forms.
 
 ``_lloyd`` takes every cluster sum from one ``bincount`` per coordinate,
-``run_spectral_sparse`` picks its neighbours with one partition per row,
-takes its bandwidth from scipy's condensed distances and builds the
-similarity in the distance matrix's buffer, and ``consensus._signatures``
-groups equal label rows with a stable ``lexsort`` instead of
-``np.unique(axis=0)``. Each is meant to repeat the result of the
-straightforward version exactly. The oracles below are those versions,
-kept verbatim (the spectral one takes its distances from the
-``_sq_distances`` below and reads the module's ``_lloyd`` and
+SPS picks its neighbours with one partition per row (the index-order tie
+fill only on rows with more ties than places), takes its bandwidth from
+scipy's condensed distances and builds the similarity in the distance
+matrix's buffer, and ``consensus._signatures`` groups equal label rows
+with a stable ``lexsort`` instead of ``np.unique(axis=0)``. Each is meant
+to repeat the result of the straightforward version exactly. The oracles
+below are those versions, kept verbatim (the spectral graph takes its
+distances from the ``_sq_distances`` below and reads the module's
 constants), and every comparison is ``array_equal``, not a tolerance.
+SPS's eigen step is the one exception: LAPACK computes only the k
+largest eigenpairs, by another algorithm than the full decomposition, so
+their values are checked against ``eigvalsh`` to 1e-12 and their span
+against the full decomposition's.
 The clusterers add their own sums left to right at any term count, where
 the oracles' NumPy reductions switch order from 8 terms on (8 coordinates,
 or 8 members of a one-feature cluster). So the cluster means and Lloyd's
@@ -38,11 +42,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import scipy.linalg
+from scipy.linalg import eigh
+
 from cesel import clusterers
-from cesel.clusterers import (ClustererConfig, Dataset, Partition, run_fcm,
-                              run_spectral_sparse)
+from cesel.clusterers import ClustererConfig, Dataset, Partition, run_fcm
 from cesel.consensus import CommitteeEntry, _signatures, eac, weac
-from cesel.errors import DegenerateSpectrum, EmptyCommittee, InvalidK, WeightMismatch
+from cesel.errors import DegenerateSpectrum, EmptyCommittee, WeightMismatch
 from cesel.harness import gen_blobs, gen_half_ring
 from cesel.independency import BasicParams
 from summation import PAIRWISE_TERMS, left_to_right
@@ -156,10 +162,18 @@ def oracle_fcm(x, k, seed):
     return u, centroids, initial, iterations, labels
 
 
-def oracle_spectral_sparse(data, cfg):
-    n, k = data.n, cfg.k
-    if k > n:
-        raise InvalidK(f"k={cfg.k} exceeds sample count {n}")
+def oracle_nearest(dist, t):
+    n = dist.shape[0]
+    order = np.argsort(dist, axis=1, kind="stable")
+    keep = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        neighbours = order[i][order[i] != i][:t]
+        keep[i, neighbours] = True
+    return keep
+
+
+def oracle_similarity(data):
+    n = data.n
     t = min(clusterers._MAX_NEIGHBORS, n - 1)
 
     dist = np.sqrt(_sq_distances(data.samples, data.samples))
@@ -168,11 +182,7 @@ def oracle_spectral_sparse(data, cfg):
     if sigma <= 0:
         sigma = 1.0
 
-    order = np.argsort(dist, axis=1, kind="stable")
-    keep = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        neighbours = order[i][order[i] != i][:t]
-        keep[i, neighbours] = True
+    keep = oracle_nearest(dist, t)
     keep |= keep.T  # symmetric union graph
 
     similarity = np.where(keep, np.exp(-(dist**2) / (2.0 * sigma**2)), 0.0)
@@ -181,19 +191,7 @@ def oracle_spectral_sparse(data, cfg):
     if np.any(degree <= 0):
         raise DegenerateSpectrum("graph has an isolated vertex")
     inv_sqrt = 1.0 / np.sqrt(degree)
-    laplacian_like = similarity * inv_sqrt[:, None] * inv_sqrt[None, :]
-
-    eigvals, eigvecs = np.linalg.eigh(laplacian_like)
-    top = np.argsort(-np.abs(eigvals), kind="stable")[:k]
-    embedding = eigvecs[:, top]
-    if not np.isfinite(embedding).all() or embedding.shape[1] < k:
-        raise DegenerateSpectrum(f"fewer than {k} usable eigenvectors")
-    row_norm = np.linalg.norm(embedding, axis=1, keepdims=True)
-    embedding = embedding / np.where(row_norm > 0, row_norm, 1.0)
-
-    rng = np.random.default_rng(cfg.seed)
-    labels, initial = clusterers._lloyd(embedding, k, rng)
-    return Partition(labels, k), BasicParams(cfg.algorithm_id, initial)
+    return similarity * inv_sqrt[:, None] * inv_sqrt[None, :]
 
 
 def oracle_signatures(labels):
@@ -468,12 +466,11 @@ GRID = st.integers(-3, 3).map(lambda v: v / 2)
 CONTINUOUS = st.integers(-10**9, 10**9).map(lambda v: v / 1e8)
 
 
-def _spectral_outcome(run, data, cfg):
+def _graph_outcome(build, x):
     try:
-        partition, params = run(data, cfg)
+        return build(x)
     except DegenerateSpectrum as exc:
         return str(exc)
-    return partition.assignments, params.rows
 
 
 @settings(max_examples=200, deadline=None)
@@ -482,19 +479,64 @@ def test_spectral_sparse_matches_earlier_graph(data):
     n = data.draw(st.integers(2, 40))
     d = data.draw(st.integers(1, 4))
     coord = data.draw(st.sampled_from([GRID, CONTINUOUS]))
-    dataset = _dataset(data.draw(arrays(np.float64, (n, d), elements=coord)))
-    cfg = ClustererConfig("SPS", data.draw(st.integers(1, min(5, n))),
-                          data.draw(st.integers(0, 2**32 - 1)))
+    x = data.draw(arrays(np.float64, (n, d), elements=coord))
     for degree in (clusterers._MAX_NEIGHBORS, n - 1):
         with mock.patch.object(clusterers, "_MAX_NEIGHBORS", degree):
-            got = _spectral_outcome(run_spectral_sparse, dataset, cfg)
-            want = _spectral_outcome(oracle_spectral_sparse, dataset, cfg)
+            got = _graph_outcome(clusterers._normalized_similarity, x)
+            want = _graph_outcome(oracle_similarity, _dataset(x))
         assert type(got) is type(want)
         if isinstance(want, str):
             assert got == want
         else:
-            assert np.array_equal(got[0], want[0])
-            assert np.array_equal(got[1], want[1])
+            assert np.array_equal(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_spectral_embedding_spans_the_top_eigenvectors(data):
+    """The k largest eigenvalues to 1e-12, and their eigenvectors' span
+    wherever the k-th eigenvalue stands more than 1e-8 above the next."""
+    n = data.draw(st.integers(2, 40))
+    d = data.draw(st.integers(1, 4))
+    coord = data.draw(st.sampled_from([GRID, CONTINUOUS]))
+    x = data.draw(arrays(np.float64, (n, d), elements=coord))
+    k = data.draw(st.integers(1, min(5, n)))
+    solved = []
+
+    def recording_eigh(a, **kwargs):
+        solved.append(eigh(a, **kwargs))
+        return solved[-1]
+
+    with mock.patch.object(scipy.linalg, "eigh", recording_eigh):
+        embedding = _graph_outcome(lambda x: clusterers._spectral_embedding(x, k), x)
+    if isinstance(embedding, str):
+        assert embedding == "graph has an isolated vertex" and not solved
+        return
+    (values, vectors), = solved
+    graph = oracle_similarity(_dataset(x))
+    full = np.linalg.eigvalsh(graph)[::-1]
+    assert np.allclose(values[::-1], full[:k], rtol=0.0, atol=1e-12)
+    if k < n and full[k - 1] - full[k] > 1e-8:
+        ref = np.linalg.eigh(graph)[1][:, ::-1][:, :k]
+        sin_theta = np.linalg.norm(vectors - ref @ (ref.T @ vectors), 2)
+        assert sin_theta <= 1e-12 / (full[k - 1] - full[k])
+    top = vectors[:, ::-1]
+    row_norm = np.linalg.norm(top, axis=1, keepdims=True)
+    assert np.array_equal(embedding, top / np.where(row_norm > 0, row_norm, 1.0))
+
+
+def test_nearest_fills_excess_ties_in_index_order():
+    # A 5 x 5 unit grid at t = 10: an inner point meets 4 points at distance
+    # 2 with 2 places left, a corner has exactly as many ties at distance 3
+    # as places left.
+    grid = np.array([(i, j) for i in range(5) for j in range(5)], dtype=float)
+    dist = np.sqrt(_sq_distances(grid, grid))
+    t = 10
+    ranked = dist + np.diag(np.full(len(grid), -1.0))
+    kth = np.sort(ranked, axis=1)[:, [t]]
+    excess = (ranked <= kth).sum(axis=1) > t + 1
+    assert excess.any() and not excess.all()
+    assert np.array_equal(clusterers._nearest(dist, t), oracle_nearest(dist, t))
 
 
 # --- weac ------------------------------------------------------------------------
