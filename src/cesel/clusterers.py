@@ -202,16 +202,28 @@ def _memoized(data: Dataset, key, compute):
     return memo[key]
 
 
-def _sq_distances(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+def _coordinate_tiles(x: np.ndarray, k: int) -> np.ndarray:
+    """Each of the d coordinates of samples ``x`` (n x d) as a (k, n) tile of k equal rows.
+
+    The (d, k, n) stack that :func:`_sq_distances` reads when one call of
+    a loop measures k centroids against the same samples many times: a
+    subtract against a whole tile is cheaper than one that broadcasts the
+    samples' row too.
+    """
+    return np.repeat(x.T[:, None, :], k, axis=1)
+
+
+def _sq_distances(x: np.ndarray, centroids: np.ndarray, tiles: np.ndarray | None = None) -> np.ndarray:
     """Squared distances (k x n) from each of k centroids to each of n samples.
 
     Each sum adds its d squared coordinate differences left to right, one
     (k, n) array at a time, so it is bit for bit scipy's
     ``cdist(centroids, x, "sqeuclidean")`` at every d, with no (k, n, d)
     temporary. Each centroid's row is contiguous, which is the layout the
-    fuzzy loop works in.
+    fuzzy loop works in. ``tiles``, if given, is ``_coordinate_tiles(x,
+    k)``; the sums are the same with or without it.
     """
-    columns = np.ascontiguousarray(x.T)
+    columns = np.ascontiguousarray(x.T) if tiles is None else tiles
     diff = columns[0] - centroids[:, 0, None]
     acc = diff * diff
     for j in range(1, len(columns)):
@@ -238,13 +250,15 @@ def _repair_empty(labels: np.ndarray, x: np.ndarray, centroids: np.ndarray, k: i
 def _cluster_means(x: np.ndarray, labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Each cluster's mean (k x d): its rows added in sample order, over its size.
 
-    ``np.bincount`` adds its weights in sample order, so one ``bincount``
-    per coordinate gives every cluster's sum. Every cluster must be
-    non-empty.
+    One ``np.bincount`` gives every coordinate's cluster sums: coordinate
+    j of a sample in cluster c goes to bin ``j * k + c``. ``bincount`` adds
+    its weights in the order they come, so each bin adds its samples in
+    sample order, at any d. Every cluster must be non-empty.
     """
-    k = len(sizes)
-    sums = np.stack([np.bincount(labels, weights=column, minlength=k) for column in x.T], axis=1)
-    return sums / sizes[:, None]
+    k, d = len(sizes), x.shape[1]
+    bins = (labels + np.arange(0, d * k, k)[:, None]).ravel()
+    sums = np.bincount(bins, weights=x.T.ravel(), minlength=d * k).reshape(d, k)
+    return (sums / sizes).T
 
 
 def _lloyd(x: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -262,8 +276,9 @@ def _lloyd(x: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray,
     centroids = x[init_idx].copy()
     initial = centroids.copy()
     labels = np.zeros(n, dtype=int)
+    tiles = _coordinate_tiles(x, k)
     for _ in range(_MAX_ITER):
-        labels = np.argmin(_sq_distances(x, centroids), axis=0)
+        labels = np.argmin(_sq_distances(x, centroids, tiles), axis=0)
         sizes = np.bincount(labels, minlength=k)
         if not sizes.all():
             _repair_empty(labels, x, centroids, k)
@@ -298,20 +313,38 @@ def _memberships(d2: np.ndarray, inv: np.ndarray, out: np.ndarray) -> np.ndarray
     sum of a C-order (k, n) array adds one row at a time. That takes
     n >= 2, as in every FCM run (a dataset holds two samples or more);
     NumPy sums a lone column as one vector, pairwise from 8 terms.
-    Zero-distance entries are left out of the reciprocal, so nothing
-    divides by zero; their columns are overwritten at the end.
+    One ``np.fmin`` reduction, which skips NaN, finds whether any distance
+    is zero; only then is the mask built. Zero-distance entries are left
+    out of the reciprocal, so nothing divides by zero; their columns are
+    overwritten at the end.
     """
+    if not np.fmin.reduce(d2, axis=None) <= 1e-8:
+        np.divide(1.0, d2, out=inv)
+        return np.divide(inv, inv.sum(axis=0), out=out)
     zero = d2 <= 1e-8
-    any_zero = zero.any()
-    np.divide(1.0, d2, out=inv, where=~zero if any_zero else True)
-    if any_zero:
-        inv[zero] = 1.0  # any finite positive value keeps the totals finite
+    np.divide(1.0, d2, out=inv, where=~zero)
+    inv[zero] = 1.0  # any finite positive value keeps the totals finite
     np.divide(inv, inv.sum(axis=0), out=out)
-    if any_zero:
-        zero_cols = zero.any(axis=0)
-        hits = zero[:, zero_cols]
-        out[:, zero_cols] = hits / hits.sum(axis=0)
+    zero_cols = zero.any(axis=0)
+    hits = zero[:, zero_cols]
+    out[:, zero_cols] = hits / hits.sum(axis=0)
     return out
+
+
+def _fcm_centroids(u: np.ndarray, x: np.ndarray, w_nk: np.ndarray) -> np.ndarray:
+    """FCM's centroids (k x d) at memberships ``u`` (k x n), with fuzzifier 2.
+
+    The weights, the squared memberships, go straight into ``w_nk``, a
+    C-order (n, k) buffer: the weighted sum of samples is ``w_nk.T @ x``,
+    and BLAS may round differently when handed the same matrix in another
+    memory layout. A centroid's denominator, the sum of its n weights, is
+    ``np.einsum("ij->j", w_nk)``, which adds each column top to bottom,
+    left to right over the samples, for k >= 2. A lone column NumPy sums
+    pairwise, but at k = 1 every weight is exactly 1, so every order gives
+    the same total.
+    """
+    np.square(u.T, out=w_nk)
+    return (w_nk.T @ x) / np.einsum("ij->j", w_nk)[:, None]
 
 
 def _squarem_point(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> np.ndarray | None:
@@ -320,11 +353,12 @@ def _squarem_point(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> np.ndarray
     With r = c1 - c0, v = c2 - 2 c1 + c0 and a = -max(1, |r|/|v|) it is
     c0 - 2ar + a^2 v, which is F's fixed point where F contracts at one rate
     (Varadhan & Roland, 2008, scheme S3). None when a norm is not finite or
-    |v| = 0.
+    |v| = 0. A norm is the square root of the flattened dot product, the
+    formula of ``np.linalg.norm`` without its call overhead.
     """
     r = c1 - c0
     v = c2 - c1 - r
-    r_norm, v_norm = float(np.linalg.norm(r)), float(np.linalg.norm(v))
+    r_norm, v_norm = math.sqrt(r.ravel() @ r.ravel()), math.sqrt(v.ravel() @ v.ravel())
     if not (v_norm > 0 and math.isfinite(r_norm / v_norm)):
         return None
     alpha = -max(1.0, r_norm / v_norm)
@@ -352,41 +386,30 @@ def _fcm(
     tolerance, and returns those centroids and the memberships they came
     from, or after ``_MAX_ITER`` membership evaluations.
 
-    It keeps memberships, squared distances and weights as C-order (k, n)
-    arrays, and each plain step adds its sums left to right (README
-    "Summation order"):
-
-    - squared distances come from ``_sq_distances``, already (k, n), and
-      the membership totals from ``_memberships``;
-    - a centroid's denominator, the sum of its n weights, is the last
-      entry of ``np.add.accumulate``, which adds left to right; a row
-      reduction would add pairwise;
-    - the weighted sum of samples is ``w_nk.T @ x`` on a C-order (n, k)
-      copy of the weights: BLAS may round differently when handed the
-      same matrix in another memory layout.
+    It keeps memberships and squared distances as C-order (k, n) arrays,
+    and each plain step adds its sums left to right (README "Summation
+    order"): squared distances come from ``_sq_distances``, already
+    (k, n), against coordinate tiles built once per call, the membership
+    totals from ``_memberships``, and the centroids from
+    ``_fcm_centroids``.
     """
     n = x.shape[0]
     u = rng.random((n, k)) + 1e-9
     u /= u.sum(axis=1, keepdims=True)
     u = np.ascontiguousarray(u.T)
-    scratch, w, running = (np.empty((k, n)) for _ in range(3))
-    w_nk = np.empty((n, k))
-
-    def centroids_of(memberships: np.ndarray) -> np.ndarray:
-        np.multiply(memberships, memberships, out=w)
-        denominator = np.add.accumulate(w, axis=1, out=running)[:, -1]
-        np.copyto(w_nk, w.T)
-        return (w_nk.T @ x) / denominator[:, None]
+    scratch, w_nk = np.empty((k, n)), np.empty((n, k))
+    tiles = _coordinate_tiles(x, k)
 
     def evaluate(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        d2 = _sq_distances(x, c)
+        d2 = _sq_distances(x, c, tiles)
         return _memberships(d2, scratch, np.empty((k, n))), d2
 
     def objective(memberships: np.ndarray, d2: np.ndarray) -> float:
         # NumPy's own sum, not BLAS: the same bits at any BLAS thread count
-        return float((memberships * memberships * d2).sum())
+        np.multiply(memberships, memberships, out=scratch)
+        return float(np.multiply(scratch, d2, out=scratch).sum())
 
-    initial = centroids_of(u)
+    initial = _fcm_centroids(u, x, w_nk)
     centroids, evaluations = initial, 0
     # When k exceeds the distinct samples, a cluster can lose all its
     # membership; its centroid is then 0/0, a NaN that _memberships and
@@ -401,7 +424,7 @@ def _fcm(
                 change = float(np.abs(np.subtract(new_u, u, out=scratch), out=scratch).max())
                 if change < _TOL:
                     return u, centroids, initial, evaluations
-                u, centroids = new_u, centroids_of(new_u)
+                u, centroids = new_u, _fcm_centroids(new_u, x, w_nk)
                 if evaluations == _MAX_ITER:
                     return u, centroids, initial, evaluations
                 cycle.append(centroids)
@@ -412,7 +435,7 @@ def _fcm(
             evaluations += 1
             # u and d2 are still the memberships and distances at c1
             if objective(extrapolated_u, extrapolated_d2) <= objective(u, d2):
-                u, centroids = extrapolated_u, centroids_of(extrapolated_u)
+                u, centroids = extrapolated_u, _fcm_centroids(extrapolated_u, x, w_nk)
             if evaluations == _MAX_ITER:
                 return u, centroids, initial, evaluations
 

@@ -73,19 +73,23 @@ def _greedy_extract(values: np.ndarray) -> list[float]:
     column; ties go to the smallest row index, then the smallest column
     index. Stops after min(rows, cols) extractions.
 
-    Deleting is masking: a picked row and column are filled with +inf, and
-    ``np.argmin`` scans the whole matrix in row-major order, which visits
-    the remaining entries in the order of the shrunken matrix. A masked
-    entry can only tie a remaining entry that is itself +inf, and then
-    every later pick is +inf either way.
+    One stable ``np.argsort`` of the flattened matrix orders every entry
+    by (value, row, column). Walking it and skipping entries whose row or
+    column is already taken meets each pick in turn, since entries only
+    ever leave the matrix.
     """
-    left = np.array(values, dtype=float)
+    left = np.asarray(values, dtype=float)
+    rows, cols = left.shape
+    flat = left.ravel().tolist()
+    row_free, col_free = [True] * rows, [True] * cols
     picked: list[float] = []
-    for _ in range(min(left.shape)):
-        r, c = divmod(int(np.argmin(left)), left.shape[1])
-        picked.append(float(left[r, c]))
-        left[r, :] = np.inf
-        left[:, c] = np.inf
+    for index in np.argsort(left, axis=None, kind="stable").tolist():
+        r, c = divmod(index, cols)
+        if row_free[r] and col_free[c]:
+            picked.append(flat[index])
+            if len(picked) == min(rows, cols):
+                break
+            row_free[r] = col_free[c] = False
     return picked
 
 

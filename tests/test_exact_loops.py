@@ -1,8 +1,9 @@
 """The fuzzy and Lloyd loops, the spectral graph and the signature grouping
 against their earlier forms.
 
-``_lloyd`` takes every cluster sum from one ``bincount`` per coordinate,
-SPS picks its neighbours with one partition per row (the index-order tie
+``_lloyd`` takes every cluster sum from one ``bincount`` across all
+coordinates (the earlier one per coordinate is kept as an oracle), SPS
+picks its neighbours with one partition per row (the index-order tie
 fill only on rows with more ties than places), takes its bandwidth from
 scipy's condensed distances and builds the similarity in the distance
 matrix's buffer, and ``consensus._signatures`` groups equal label rows
@@ -471,6 +472,27 @@ def _graph_outcome(build, x):
         return build(x)
     except DegenerateSpectrum as exc:
         return str(exc)
+
+
+def per_coordinate_cluster_means(x, labels, sizes):
+    """The earlier ``_cluster_means``: one ``bincount`` per coordinate, verbatim."""
+    k = len(sizes)
+    sums = np.stack([np.bincount(labels, weights=column, minlength=k) for column in x.T], axis=1)
+    return sums / sizes[:, None]
+
+
+@pytest.mark.parametrize("d", range(1, 41))
+def test_cluster_means_match_per_coordinate_sums(d):
+    # one bincount across all coordinates adds each bin in sample order
+    rng = np.random.default_rng(d)
+    for n, k in [(1, 1), (9, 2), (40, 7), (750, 5)]:
+        x = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, d))
+        labels = rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, n - k)]))
+        sizes = np.bincount(labels, minlength=k)
+        got = clusterers._cluster_means(x, labels, sizes)
+        assert np.array_equal(got, per_coordinate_cluster_means(x, labels, sizes))
+        if n <= 40:
+            assert np.array_equal(got, ltr_cluster_means(x, labels, k))
 
 
 @settings(max_examples=200, deadline=None)

@@ -346,8 +346,8 @@ def test_greedy_extract_matches_seed_loops(values):
 @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
               elements=st.sampled_from([-np.inf, -1.5, 0.0, 0.25, 2.0, np.inf])))
 def test_greedy_extract_with_infinite_entries(values):
-    # A masked row or column holds +inf, which argmin never prefers; it may
-    # tie a remaining infinite entry, but never changes what is picked.
+    # ±inf entries sort and tie like any other value: the sorted walk meets
+    # them where the seed loops' shrinking matrix picks them.
     assert max_cells(Cddm("a", "b", values)) == seed_max_cells(values)
     assert _greedy_extract(values) == seed_min_matching(values)
 

@@ -89,19 +89,25 @@ def test_sq_distances_match_broadcast_sum(x, data):
     # the kernel returns the (k, n) layout the clusterers work in
     got = clusterers._sq_distances(x, centroids)
     assert np.array_equal(got, ltr_sq_distances(x, centroids))
+    tiles = clusterers._coordinate_tiles(x, k)
+    assert np.array_equal(clusterers._sq_distances(x, centroids, tiles), got)
     if x.shape[1] < PAIRWISE_TERMS:
         assert np.array_equal(got, oracle_sq_distances(x, centroids).T)
 
 
 @pytest.mark.parametrize("d", range(1, 41))
 def test_sq_distances_match_cdist(d):
-    # scipy's squared Euclidean distances add left to right at every d
+    # scipy's squared Euclidean distances add left to right at every d, and
+    # so does the kernel, with the loops' coordinate tiles or without
     rng = np.random.default_rng(d)
-    for n, k in [(1, 1), (2, 9), (13, 4), (40, 12)]:
+    for n, k in [(1, 1), (2, 9), (13, 4), (40, 12), (750, 5)]:
         x = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, d))
         centroids = rng.normal(size=(k, d))
-        assert np.array_equal(clusterers._sq_distances(x, centroids),
-                              cdist(centroids, x, "sqeuclidean"))
+        expected = cdist(centroids, x, "sqeuclidean")
+        assert np.array_equal(clusterers._sq_distances(x, centroids), expected)
+        tiles = clusterers._coordinate_tiles(x, k)
+        assert tiles.shape == (d, k, n)
+        assert np.array_equal(clusterers._sq_distances(x, centroids, tiles), expected)
 
 
 def test_sq_distances_memory_is_bounded():
@@ -233,6 +239,49 @@ def test_fcm_memberships_match_broadcast_sum(data):
         # a lone column, n = 1, NumPy sums as one vector, pairwise from 8.
         if n > 1 or k < PAIRWISE_TERMS:
             assert np.array_equal(got.T, ltr_memberships(d2), equal_nan=True)
+
+
+def ltr_fcm_centroids(u, x):
+    """FCM's centroids at memberships u (k, n): each weight total added left to right.
+
+    The weighted sums are the same BLAS product on the same C-order (n, k)
+    weights as the kernel's.
+    """
+    w_nk = np.ascontiguousarray((u * u).T)
+    totals = np.array([left_to_right(column) for column in w_nk.T.tolist()])
+    return (w_nk.T @ x) / totals[:, None]
+
+
+# memberships in [0, 1], with exact zeros (a cluster a sample has left)
+MEMBERSHIP = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fcm_weight_totals_add_left_to_right(data):
+    # einsum adds each column of the (n, k) weights top to bottom for k >= 2
+    k = data.draw(st.integers(2, 16))
+    n = data.draw(st.integers(2, 60))
+    u = data.draw(arrays(np.float64, (k, n), elements=MEMBERSHIP))
+    assume(((u * u).sum(axis=1) > 0).all())
+    x = data.draw(arrays(np.float64, (n, data.draw(st.integers(1, 4))), elements=COORD))
+    w_nk = np.full((n, k), np.nan)
+    got = clusterers._fcm_centroids(u, x, w_nk)
+    assert np.array_equal(w_nk, (u * u).T)
+    assert np.array_equal(got, ltr_fcm_centroids(u, x))
+    totals = np.einsum("ij->j", w_nk)
+    assert totals.tolist() == [left_to_right(column) for column in w_nk.T.tolist()]
+
+
+@pytest.mark.parametrize("n", [2, 7, 8, 9, 150, 750, 5000])
+def test_fcm_weight_totals_at_one_cluster_are_exact(n):
+    # At k = 1 every membership, so every weight, is exactly 1; NumPy sums
+    # the lone column pairwise, and any order gives exactly n.
+    x = np.random.default_rng(n).normal(size=(n, 3))
+    u, w_nk = np.ones((1, n)), np.empty((n, 1))
+    got = clusterers._fcm_centroids(u, x, w_nk)
+    assert np.einsum("ij->j", w_nk).tolist() == [float(n)]
+    assert np.array_equal(got, (w_nk.T @ x) / n)
 
 
 # -0.0 beside 0.0, subnormals, values one ulp apart, and gaps at the earlier
