@@ -71,7 +71,7 @@ def eac(partitions: list[Partition]) -> np.ndarray:
 
 
 def _checked_weights(committee: list[CommitteeEntry], weights) -> np.ndarray:
-    """``weights`` as floats, one per entry of a non-empty committee."""
+    """``weights`` as floats, one finite non-negative weight per entry of a non-empty committee."""
     if not committee:
         raise EmptyCommittee("weighted accumulation needs at least one entry")
     weights = np.asarray(weights, dtype=float)
@@ -79,6 +79,9 @@ def _checked_weights(committee: list[CommitteeEntry], weights) -> np.ndarray:
         raise WeightMismatch(
             f"{len(weights)} weights for {len(committee)} committee entries"
         )
+    bad = np.flatnonzero(~(np.isfinite(weights) & (weights >= 0.0)))
+    if bad.size:
+        raise WeightMismatch(f"weight {weights[bad[0]]} of entry {bad[0]} is not finite and non-negative")
     return weights
 
 

@@ -84,7 +84,7 @@ class EmptyCommittee(CeselError):
 
 
 class WeightMismatch(CeselError):
-    """Weight vector length does not match the committee."""
+    """Weight vector length does not match the committee, or a weight is negative, NaN or infinite."""
 
 
 class InvalidK(CeselError, ValueError):

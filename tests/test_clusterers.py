@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial.distance import pdist, squareform
 
-from cesel import clusterers
+from cesel import assets, clusterers
 from cesel._agglo import cut_merges, linkage_merge
 from cesel.clusterers import (
     ALGORITHM_IDS,
@@ -22,7 +22,7 @@ from cesel.clusterers import (
     run_spectral_sparse,
 )
 from cesel.errors import AllMissingColumn, ColumnOverflow, InvalidK
-from cesel.harness import accuracy, gen_blobs, gen_half_ring
+from cesel.harness import accuracy, gen_blobs, gen_half_ring, load_csv
 from cesel.independency import bpi
 
 
@@ -256,6 +256,21 @@ class TestLinkage:
         for k in range(1, n + 1):
             part, _ = run_linkage(data, ClustererConfig(alg, k=k, seed=0))
             assert np.array_equal(part.assignments, cut_merges(tree, k)), k
+
+    def test_scipy_path_matches_engine_on_iris_up_to_k_77(self):
+        # 639 of iris's 11,175 Euclidean distances repeat another, so scipy
+        # may merge tied pairs in another order than the engine. The cuts
+        # agree at every k a pipeline draws (at most 2 * k_final) and far
+        # beyond; 5 of the 584 cuts above k = 77 differ.
+        x = load_csv(assets.iris_csv_path(), label_column="species").samples
+        differ = []
+        for alg in (a for a in LINKAGE_IDS if a[2] != "H"):
+            condensed = pdist(x) if alg[2] == "E" else _cosine_distances(x)
+            engine = linkage_merge(squareform(condensed), clusterers._LINKAGE_NAMES[alg[0]])
+            tree = _linkage_tree(x, alg)
+            differ += [k for k in range(1, len(x) + 1)
+                       if not np.array_equal(cut_merges(tree, k), cut_merges(engine, k))]
+        assert min(differ) == 78 and len(differ) == 5
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 12), st.integers(1, 3), st.integers(0, 2**32 - 1), st.data())

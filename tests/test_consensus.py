@@ -123,6 +123,14 @@ class TestWeac:
         with pytest.raises(WeightMismatch):
             weac(entries, np.ones(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_weights_must_be_finite_and_non_negative(self, bad):
+        # a NaN weight would reach the merge as a NaN co-association
+        entries = [entry(part([0, 0, 1, 1]), run_index=i) for i in range(3)]
+        for combine in (weac, lambda c, w: fuse(c, w, 2)):
+            with pytest.raises(WeightMismatch, match="entry 1 "):
+                combine(entries, [1.0, bad, 1.0])
+
 
 class TestAverageLinkageCut:
     def test_block_diagonal_two_blocks(self):

@@ -216,6 +216,18 @@ class TestReferenceAidm:
         computed = assets.computed_aidm()
         assert computed.lookup("K", "F") == reference_aidm().lookup("K", "F")
 
+    def test_computed_differs_from_reference_in_nine_linkage_pairs(self):
+        # the reconstructed A, C and W linkage scripts score their own
+        # family 0.25 where the reference has 0.5; every other pair matches
+        computed, reference = assets.computed_aidm(), reference_aidm()
+        pairs = list(itertools.combinations(computed.algorithm_ids, 2))
+        differ = {(a, b): computed.lookup(a, b) - reference.lookup(a, b)
+                  for a, b in pairs if computed.lookup(a, b) != reference.lookup(a, b)}
+        assert len(pairs) == 105
+        assert differ == {pair: -0.25 for family in "ACW"
+                          for pair in itertools.combinations([f"{family}LC", f"{family}LE",
+                                                              f"{family}LH"], 2)}
+
     def test_computed_covers_implemented_roster(self):
         from cesel.clusterers import ALGORITHM_IDS
 
@@ -369,6 +381,16 @@ def test_bpi_is_symmetric_bit_for_bit(data):
     q = BasicParams("SPS", data.draw(param_rows(data.draw(st.integers(1, 9)))))
     p, q = _pad_to_common(p, q)
     assert bpi(p, q) == bpi(q, p)
+
+
+def test_pad_to_common_appends_zero_coordinates():
+    # SPS centroids live in a k-dimensional embedding, so runs at k = 2 and
+    # k = 3 meet with a zero third coordinate on the narrower side
+    p = BasicParams("SPS", np.array([[1.0, 2.0], [3.0, 4.0]]))
+    q = BasicParams("SPS", np.ones((3, 3)))
+    padded, same = _pad_to_common(p, q)
+    assert same is q
+    assert np.array_equal(padded.rows, [[1.0, 2.0, 0.0], [3.0, 4.0, 0.0]])
 
 
 @pytest.mark.parametrize("d", range(1, 41))
