@@ -73,9 +73,12 @@ class Scmt:
 
 
 def load_scmt(path: str | Path) -> Scmt:
-    """Read a tab-separated (symbol, description) UTF-8 file; ``#`` starts a comment."""
+    """Read a tab-separated (symbol, description) UTF-8 file; ``#`` starts a comment.
+
+    A leading byte-order mark is dropped.
+    """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValueError(f"not UTF-8 text (byte {exc.start})") from None
     entries: dict[str, str] = {}
@@ -316,11 +319,12 @@ def export_dot(graph: IndependencyGraph) -> str:
 def load_script(path: str | Path, scmt: Scmt) -> CailScript:
     """Parse a ``.cail`` file; the algorithm ID is the uppercased file stem.
 
-    A file that is not UTF-8 text raises :class:`DataFileError`.
+    A leading byte-order mark is dropped; a file that is not UTF-8 text
+    raises :class:`DataFileError`.
     """
     path = Path(path)
     try:
-        source = path.read_text(encoding="utf-8")
+        source = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise DataFileError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     return parse_cail(source, scmt, name=path.stem.upper())

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 pipeline failure
-(too few committee admissions).
+(too few committee admissions). Each error class in :mod:`cesel.errors`
+states its own code and stderr prefix.
 """
 from __future__ import annotations
 
@@ -17,19 +18,7 @@ from . import assets
 from .cail import build_graph, export_dot, load_scmt, load_script, to_graph_array
 from .consensus import PipelineConfig, run_ces
 from .clusterers import Dataset
-from .errors import (
-    AllMissingColumn,
-    CeselError,
-    ColumnOverflow,
-    CommitteeTooSmall,
-    DataFileError,
-    DuplicateAlgorithmId,
-    EmptyGraph,
-    InvalidK,
-    ParseError,
-    StructureError,
-    UnknownSymbol,
-)
+from .errors import CeselError, DataFileError
 from .harness import (
     ExperimentSpec,
     accuracy,
@@ -66,8 +55,34 @@ def cli():
     """Cluster ensemble selection toolkit."""
 
 
-def _pipeline_config(k, dt, committee, attempts, seed, aidm, consensus_mode,
-                     roster=None) -> PipelineConfig:
+# The options `run` and `baseline` share, declared once; `_pipeline_options`
+# applies them to a command in this order.
+_PIPELINE_OPTIONS = [
+    click.option("--data", required=True, type=_INPUT_FILE, help="CSV dataset."),
+    click.option("--label", default=None, help="Name of the class column, if any."),
+    click.option("--k", required=True, type=int, help="Final cluster count."),
+    click.option("--dt", default=0.1, type=float, show_default=True, help="Diversity threshold."),
+    click.option("--committee", default=10, type=int, show_default=True,
+                 help="Committee target size."),
+    click.option("--attempts", default=50, type=int, show_default=True,
+                 help="Max candidate runs."),
+    click.option("--seed", default=0, type=int, show_default=True),
+    click.option("--aidm", default="reference", show_default=True,
+                 help="Independency matrix: 'reference', 'computed', or a CSV path."),
+    click.option("--roster", default=None,
+                 help="Comma-separated algorithm IDs (default: all implemented)."),
+]
+
+
+def _pipeline_options(command):
+    for option in reversed(_PIPELINE_OPTIONS):
+        command = option(command)
+    return command
+
+
+def _pipeline_config(*, k, dt, committee, attempts, seed, aidm="reference", roster=None,
+                     consensus="weac") -> PipelineConfig:
+    """The pipeline options as a checked config; a bad value is a usage error."""
     kwargs = {}
     if roster:
         kwargs["roster"] = tuple(r.strip().upper() for r in roster.split(",") if r.strip())
@@ -79,7 +94,7 @@ def _pipeline_config(k, dt, committee, attempts, seed, aidm, consensus_mode,
             max_attempts=attempts,
             seed=seed,
             aidm_source=aidm,
-            consensus=consensus_mode,
+            consensus=consensus,
             **kwargs,
         )
     except ValueError as exc:
@@ -87,24 +102,14 @@ def _pipeline_config(k, dt, committee, attempts, seed, aidm, consensus_mode,
 
 
 @cli.command()
-@click.option("--data", required=True, type=_INPUT_FILE, help="CSV dataset.")
-@click.option("--label", default=None, help="Name of the class column, if any.")
-@click.option("--k", required=True, type=int, help="Final cluster count.")
-@click.option("--dt", default=0.1, type=float, show_default=True, help="Diversity threshold.")
-@click.option("--committee", default=10, type=int, show_default=True, help="Committee target size.")
-@click.option("--attempts", default=50, type=int, show_default=True, help="Max candidate runs.")
-@click.option("--seed", default=0, type=int, show_default=True)
-@click.option("--aidm", default="reference", show_default=True,
-              help="Independency matrix: 'reference', 'computed', or a CSV path.")
+@_pipeline_options
 @click.option("--consensus", "consensus_mode", default="weac", show_default=True,
               type=click.Choice(["weac", "eac"]))
-@click.option("--roster", default=None,
-              help="Comma-separated algorithm IDs (default: all implemented).")
 @click.option("--out", default=None, type=_OUTPUT_FILE, help="Write the run report JSON here.")
-def run(data, label, k, dt, committee, attempts, seed, aidm, consensus_mode, roster, out):
+def run(data, label, consensus_mode, out, **pipeline):
     """Run the selection pipeline on a dataset."""
+    cfg = _pipeline_config(consensus=consensus_mode, **pipeline)
     dataset = load_csv(data, label_column=label)
-    cfg = _pipeline_config(k, dt, committee, attempts, seed, aidm, consensus_mode, roster)
     partition, report = run_ces(dataset, cfg)
     if dataset.labels is not None:
         click.echo(f"accuracy: {accuracy(partition, dataset.labels):.2f}%")
@@ -118,23 +123,14 @@ def run(data, label, k, dt, committee, attempts, seed, aidm, consensus_mode, ros
 
 @cli.command()
 @click.option("--method", required=True, type=click.Choice(["kmeans", "spectral", "eac", "weac"]))
-@click.option("--data", required=True, type=_INPUT_FILE)
-@click.option("--label", default=None)
-@click.option("--k", required=True, type=int)
-@click.option("--dt", default=0.1, type=float, show_default=True)
-@click.option("--committee", default=10, type=int, show_default=True)
-@click.option("--attempts", default=50, type=int, show_default=True)
-@click.option("--seed", default=0, type=int, show_default=True)
-@click.option("--aidm", default="reference", show_default=True)
-@click.option("--roster", default=None,
-              help="Comma-separated algorithm IDs (default: all implemented).")
+@_pipeline_options
 @click.option("--reps", default=10, type=click.IntRange(min=1), show_default=True)
-def baseline(method, data, label, k, dt, committee, attempts, seed, aidm, roster, reps):
+def baseline(method, data, label, reps, **pipeline):
     """Mean accuracy of one method over repeated seeded runs."""
-    dataset = load_csv(data, label_column=label)
-    if dataset.labels is None:
+    if label is None:
         raise click.UsageError("baseline accuracy needs --label")
-    cfg = _pipeline_config(k, dt, committee, attempts, seed, aidm, "weac", roster)
+    cfg = _pipeline_config(**pipeline)
+    dataset = load_csv(data, label_column=label)
     spec = ExperimentSpec(dataset, Path(data).stem, cfg, repetitions=reps, methods=(method,))
     (row,) = run_experiment(spec)["rows"]
     click.echo(f"{method}: {row['mean']:.2f} +/- {row['std']:.2f} over {reps} runs")
@@ -237,7 +233,7 @@ def sweep_dt_cmd(data, label, k, dts, committee, attempts, seed, reps, out):
     if not thresholds:
         raise click.UsageError("--dts names no threshold")
     # One config per threshold, so a threshold outside [0, 1] fails here.
-    configs = [_pipeline_config(k, dt, committee, attempts, seed, "reference", "weac")
+    configs = [_pipeline_config(k=k, dt=dt, committee=committee, attempts=attempts, seed=seed)
                for dt in thresholds]
     dataset = load_csv(data, label_column=label)
     rows = sweep_dt(dataset, configs[0], thresholds, repetitions=reps)
@@ -264,7 +260,7 @@ def _write_dataset_csv(dataset: Dataset, out: str, raw: bool = True) -> None:
 
 
 def main(argv=None) -> int:
-    """Entry point with the documented exit-code mapping."""
+    """Entry point with the documented exit codes."""
     try:
         cli.main(args=argv, standalone_mode=False)
         return 0
@@ -273,19 +269,9 @@ def main(argv=None) -> int:
     except click.UsageError as exc:
         click.echo(f"usage error: {exc.format_message()}", err=True)
         return 1
-    except InvalidK as exc:
-        click.echo(f"usage error: {exc}", err=True)
-        return 1
-    except (ParseError, AllMissingColumn, ColumnOverflow, DataFileError,
-            UnknownSymbol, StructureError, EmptyGraph, DuplicateAlgorithmId) as exc:
-        click.echo(f"data error: {exc}", err=True)
-        return 2
-    except CommitteeTooSmall as exc:
-        click.echo(f"pipeline failure: {exc}", err=True)
-        return 3
-    except CeselError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 3
+    except CeselError as exc:  # each class states its own code and prefix
+        click.echo(f"{exc.prefix}: {exc}", err=True)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -202,28 +202,16 @@ def _memoized(data: Dataset, key, compute):
     return memo[key]
 
 
-def _coordinate_tiles(x: np.ndarray, k: int) -> np.ndarray:
-    """Each of the d coordinates of samples ``x`` (n x d) as a (k, n) tile of k equal rows.
-
-    The (d, k, n) stack that :func:`_sq_distances` reads when one call of
-    a loop measures k centroids against the same samples many times: a
-    subtract against a whole tile is cheaper than one that broadcasts the
-    samples' row too.
-    """
-    return np.repeat(x.T[:, None, :], k, axis=1)
-
-
-def _sq_distances(x: np.ndarray, centroids: np.ndarray, tiles: np.ndarray | None = None) -> np.ndarray:
+def _sq_distances(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Squared distances (k x n) from each of k centroids to each of n samples.
 
     Each sum adds its d squared coordinate differences left to right, one
     (k, n) array at a time, so it is bit for bit scipy's
     ``cdist(centroids, x, "sqeuclidean")`` at every d, with no (k, n, d)
     temporary. Each centroid's row is contiguous, which is the layout the
-    fuzzy loop works in. ``tiles``, if given, is ``_coordinate_tiles(x,
-    k)``; the sums are the same with or without it.
+    fuzzy loop works in.
     """
-    columns = np.ascontiguousarray(x.T) if tiles is None else tiles
+    columns = np.ascontiguousarray(x.T)
     diff = columns[0] - centroids[:, 0, None]
     acc = diff * diff
     for j in range(1, len(columns)):
@@ -276,9 +264,8 @@ def _lloyd(x: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray,
     centroids = x[init_idx].copy()
     initial = centroids.copy()
     labels = np.zeros(n, dtype=int)
-    tiles = _coordinate_tiles(x, k)
     for _ in range(_MAX_ITER):
-        labels = np.argmin(_sq_distances(x, centroids, tiles), axis=0)
+        labels = np.argmin(_sq_distances(x, centroids), axis=0)
         sizes = np.bincount(labels, minlength=k)
         if not sizes.all():
             _repair_empty(labels, x, centroids, k)
@@ -389,19 +376,17 @@ def _fcm(
     It keeps memberships and squared distances as C-order (k, n) arrays,
     and each plain step adds its sums left to right (README "Summation
     order"): squared distances come from ``_sq_distances``, already
-    (k, n), against coordinate tiles built once per call, the membership
-    totals from ``_memberships``, and the centroids from
-    ``_fcm_centroids``.
+    (k, n), the membership totals from ``_memberships``, and the
+    centroids from ``_fcm_centroids``.
     """
     n = x.shape[0]
     u = rng.random((n, k)) + 1e-9
     u /= u.sum(axis=1, keepdims=True)
     u = np.ascontiguousarray(u.T)
     scratch, w_nk = np.empty((k, n)), np.empty((n, k))
-    tiles = _coordinate_tiles(x, k)
 
     def evaluate(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        d2 = _sq_distances(x, c, tiles)
+        d2 = _sq_distances(x, c)
         return _memberships(d2, scratch, np.empty((k, n))), d2
 
     def objective(memberships: np.ndarray, d2: np.ndarray) -> float:

@@ -3,18 +3,24 @@
 Grouped loosely by origin: script/data parsing problems, degenerate
 numerical inputs, and pipeline-level failures. All inherit from
 :class:`CeselError` so callers can catch everything from this package
-with one handler.
+with one handler. Each class states how the command line reports it:
+``exit_code`` is the process's exit status and ``prefix`` starts the one
+line it prints to stderr.
 """
 
 
 class CeselError(Exception):
     """Base class for all toolkit errors."""
 
+    exit_code, prefix = 3, "error"
+
 
 # --- modeling-language / graph errors -------------------------------------
 
 class UnknownSymbol(CeselError):
     """A script token is not a keyword and not present in the symbol table."""
+
+    exit_code, prefix = 2, "data error"
 
     def __init__(self, symbol: str, position: int = -1):
         self.symbol = symbol
@@ -25,6 +31,8 @@ class UnknownSymbol(CeselError):
 class StructureError(CeselError):
     """Script violates the begin/end frame or block nesting rules."""
 
+    exit_code, prefix = 2, "data error"
+
     def __init__(self, position: int, reason: str):
         self.position = position
         self.reason = reason
@@ -33,6 +41,8 @@ class StructureError(CeselError):
 
 class EmptyGraph(CeselError):
     """A graph carries no symbols at all, so it has no comparable cells."""
+
+    exit_code, prefix = 2, "data error"
 
 
 class EmptyCell(CeselError):
@@ -43,6 +53,8 @@ class EmptyCell(CeselError):
 
 class DuplicateAlgorithmId(CeselError):
     """Two graph arrays with the same algorithm ID in one matrix."""
+
+    exit_code, prefix = 2, "data error"
 
 
 class UnknownAlgorithm(CeselError):
@@ -56,23 +68,33 @@ class DimensionMismatch(CeselError):
 class CommitteeTooSmall(CeselError):
     """Fewer than two usable committee entries."""
 
+    prefix = "pipeline failure"
+
 
 # --- data / clustering errors ----------------------------------------------
 
 class ParseError(CeselError):
     """A CSV cell could not be interpreted; message names row and column."""
 
+    exit_code, prefix = 2, "data error"
+
 
 class DataFileError(CeselError):
     """A data file named in the configuration is missing or cannot be read."""
+
+    exit_code, prefix = 2, "data error"
 
 
 class AllMissingColumn(CeselError):
     """A feature column has no observed values, so it cannot be imputed."""
 
+    exit_code, prefix = 2, "data error"
+
 
 class ColumnOverflow(CeselError):
     """A feature column's mean or variance overflows float64."""
+
+    exit_code, prefix = 2, "data error"
 
 
 class DegenerateSpectrum(CeselError):
@@ -89,6 +111,8 @@ class WeightMismatch(CeselError):
 
 class InvalidK(CeselError, ValueError):
     """Requested cluster count is outside [1, n]."""
+
+    exit_code, prefix = 1, "usage error"
 
 
 class LengthMismatch(CeselError):

@@ -274,6 +274,22 @@ class TestScmt:
         with pytest.raises(ValueError):
             load_scmt(path)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # a BOM before a script's first token or the table's first symbol
+        # gives the same cells as the plain files
+        bundled = assets._data_path("scripts")
+        scripts = tmp_path / "scripts"
+        scripts.mkdir()
+        for path in bundled.glob("*.cail"):
+            (scripts / path.name).write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        table = tmp_path / "scmt.tsv"
+        table.write_bytes(b"\xef\xbb\xbf" + assets._data_path("scmt.tsv").read_bytes())
+        assert load_scmt(table).entries == assets.bundled_scmt().entries
+        bom = assets.load_script_arrays(scripts)
+        plain = assets.load_script_arrays()
+        assert [(a.name, a.cells) for a in bom] == [(a.name, a.cells) for a in plain]
+        assert len(bom) == 15
+
     def test_scripts_in_one_problem_share_the_bundled_table(self, scmt):
         arrays = assets.load_script_arrays()
         names = {a.name for a in arrays}

@@ -5,12 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 
 import cesel
 from cesel import assets, errors
-from cesel.cli import main
+from cesel.cli import cli, main
 from cesel.harness import gen_half_ring, load_csv
 
 
@@ -287,7 +288,11 @@ class TestExitCodes:
         (["sweep-dt", "--k", "2", "--dts", "5", "--out", "OUT"], "threshold"),
         (["sweep-dt", "--k", "2", "--reps", "0", "--out", "OUT"], "--reps"),
         (["baseline", "--method", "kmeans", "--k", "2", "--reps", "0"], "--reps"),
-    ], ids=["perturb-rate", "sweep-dts-text", "sweep-dts-range", "sweep-reps", "baseline-reps"])
+        (["run", "--k", "2", "--dt", "2", "--out", "OUT"], "threshold"),
+        (["baseline", "--method", "kmeans", "--k", "2", "--committee", "1"], "committee"),
+        (["baseline", "--method", "kmeans", "--k", "2", "NO-LABEL"], "--label"),
+    ], ids=["perturb-rate", "sweep-dts-text", "sweep-dts-range", "sweep-reps", "baseline-reps",
+            "run-dt", "baseline-committee", "baseline-label"])
     def test_bad_option_is_usage_error_before_any_work(
         self, ring_csv, tmp_path, args, named, no_candidates, monkeypatch, capsys
     ):
@@ -297,7 +302,8 @@ class TestExitCodes:
         monkeypatch.setattr("cesel.cli.load_csv", refuse)
         out = tmp_path / "out.json"
         args = [str(out) if a == "OUT" else a for a in args]
-        rc = main([*args, "--data", ring_csv, "--label", "label"])
+        label = [] if "NO-LABEL" in args else ["--label", "label"]
+        rc = main([a for a in args if a != "NO-LABEL"] + ["--data", ring_csv, *label])
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("usage error: ") and err.count("\n") == 1
@@ -457,8 +463,24 @@ class TestExitCodes:
         assert not (tmp_path / "a.csv").exists()
 
     def test_help_is_0(self, capsys):
-        assert main(["--help"]) == 0
-        assert main(["run", "--help"]) == 0
+        commands = ["run", "baseline", "aidm", "cail", "gen-data", "perturb", "sweep-dt"]
+        assert sorted(cli.commands) == sorted(commands)
+        for args in [["--help"]] + [[command, "--help"] for command in commands]:
+            assert main(args) == 0, args
+            assert capsys.readouterr().out.startswith("Usage: "), args
+
+    def test_run_and_baseline_share_their_pipeline_options(self):
+        # each shared option is declared once, so both commands print its help alike
+        def help_records(name):
+            command = cli.commands[name]
+            ctx = click.Context(command)
+            return {p.name: p.get_help_record(ctx) for p in command.params}
+
+        run, baseline = help_records("run"), help_records("baseline")
+        shared = run.keys() & baseline.keys()
+        assert shared == {"data", "label", "k", "dt", "committee", "attempts", "seed",
+                          "aidm", "roster"}
+        assert {name: run[name] for name in shared} == {name: baseline[name] for name in shared}
 
 
 def _error_classes(cls=errors.CeselError):

@@ -89,8 +89,6 @@ def test_sq_distances_match_broadcast_sum(x, data):
     # the kernel returns the (k, n) layout the clusterers work in
     got = clusterers._sq_distances(x, centroids)
     assert np.array_equal(got, ltr_sq_distances(x, centroids))
-    tiles = clusterers._coordinate_tiles(x, k)
-    assert np.array_equal(clusterers._sq_distances(x, centroids, tiles), got)
     if x.shape[1] < PAIRWISE_TERMS:
         assert np.array_equal(got, oracle_sq_distances(x, centroids).T)
 
@@ -98,16 +96,13 @@ def test_sq_distances_match_broadcast_sum(x, data):
 @pytest.mark.parametrize("d", range(1, 41))
 def test_sq_distances_match_cdist(d):
     # scipy's squared Euclidean distances add left to right at every d, and
-    # so does the kernel, with the loops' coordinate tiles or without
+    # so does the kernel
     rng = np.random.default_rng(d)
     for n, k in [(1, 1), (2, 9), (13, 4), (40, 12), (750, 5)]:
         x = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, d))
         centroids = rng.normal(size=(k, d))
         expected = cdist(centroids, x, "sqeuclidean")
         assert np.array_equal(clusterers._sq_distances(x, centroids), expected)
-        tiles = clusterers._coordinate_tiles(x, k)
-        assert tiles.shape == (d, k, n)
-        assert np.array_equal(clusterers._sq_distances(x, centroids, tiles), expected)
 
 
 def test_sq_distances_memory_is_bounded():
