@@ -53,6 +53,7 @@ from .harness import (
     inject_noise,
     load_csv,
     run_experiment,
+    save_csv,
     sweep_dt,
 )
 from .independency import (

@@ -75,12 +75,14 @@ class Scmt:
 def load_scmt(path: str | Path) -> Scmt:
     """Read a tab-separated (symbol, description) UTF-8 file; ``#`` starts a comment.
 
-    A leading byte-order mark is dropped.
+    A leading byte-order mark is dropped. A file that is not UTF-8 text,
+    or has a line without a tab-separated description or a repeated or
+    malformed symbol ID, raises :class:`DataFileError` naming ``path``.
     """
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise ValueError(f"not UTF-8 text (byte {exc.start})") from None
+        raise DataFileError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -88,12 +90,15 @@ def load_scmt(path: str | Path) -> Scmt:
             continue
         parts = line.split("\t")
         if len(parts) < 2:
-            raise ValueError(f"line {lineno}: expected 'symbol<TAB>description'")
+            raise DataFileError(f"{path}: line {lineno}: expected 'symbol<TAB>description'")
         sym = parts[0].strip().upper()
         if sym in entries:
-            raise ValueError(f"line {lineno}: duplicate symbol {sym!r}")
+            raise DataFileError(f"{path}: line {lineno}: duplicate symbol {sym!r}")
         entries[sym] = parts[1].strip()
-    return Scmt(entries)
+    try:
+        return Scmt(entries)
+    except ValueError as exc:
+        raise DataFileError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

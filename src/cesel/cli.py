@@ -2,23 +2,21 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 pipeline failure
 (too few committee admissions). Each error class in :mod:`cesel.errors`
-states its own code and stderr prefix.
+states its own code and stderr prefix; a file the operating system
+refuses to open, read or write (an ``OSError``) is a data error.
 """
 from __future__ import annotations
 
-import csv
 import json
 import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import assets
 from .cail import build_graph, export_dot, load_scmt, load_script, to_graph_array
 from .consensus import PipelineConfig, run_ces
-from .clusterers import Dataset
-from .errors import CeselError, DataFileError
+from .errors import CeselError
 from .harness import (
     ExperimentSpec,
     accuracy,
@@ -27,6 +25,7 @@ from .harness import (
     inject_noise,
     load_csv,
     run_experiment,
+    save_csv,
     sweep_dt,
 )
 from .independency import build_aidm, save_aidm_csv
@@ -137,13 +136,8 @@ def baseline(method, data, label, reps, **pipeline):
 
 
 def _symbol_table(path):
-    """The symbol table at ``path``, or the bundled one; malformed is a data error."""
-    if path is None:
-        return assets.bundled_scmt()
-    try:
-        return load_scmt(path)
-    except ValueError as exc:
-        raise DataFileError(f"symbol table {path}: {exc}") from None
+    """The symbol table at ``path``, or the bundled one."""
+    return assets.bundled_scmt() if path is None else load_scmt(path)
 
 
 @cli.command()
@@ -191,7 +185,7 @@ def gen_data(n, noise, seed, out):
         dataset = gen_half_ring(n, noise, seed)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
-    _write_dataset_csv(dataset, out)
+    save_csv(dataset, out)
     click.echo(f"{dataset.n}x{dataset.d} dataset written to {out}")
 
 
@@ -208,8 +202,7 @@ def perturb(data, label, mode, rate, seed, out):
         raise click.UsageError(f"--rate {rate} outside [0, 1)")
     dataset = load_csv(data, label_column=label)
     fn = inject_missing if mode == "missing" else inject_noise
-    perturbed = fn(dataset, rate, seed)
-    _write_dataset_csv(perturbed, out, raw=(mode == "missing"))
+    save_csv(fn(dataset, rate, seed), out)
     click.echo(f"perturbed dataset written to {out}")
 
 
@@ -245,20 +238,6 @@ def sweep_dt_cmd(data, label, k, dts, committee, attempts, seed, reps, out):
         click.echo(text)
 
 
-def _write_dataset_csv(dataset: Dataset, out: str, raw: bool = True) -> None:
-    matrix = dataset.raw if raw else dataset.samples
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        names = list(dataset.feature_names) or [f"f{i}" for i in range(dataset.d)]
-        header = names + (["label"] if dataset.labels is not None else [])
-        writer.writerow(header)
-        for i in range(dataset.n):
-            row = ["" if np.isnan(v) else repr(float(v)) for v in matrix[i]]
-            if dataset.labels is not None:
-                row.append(int(dataset.labels[i]))
-            writer.writerow(row)
-
-
 def main(argv=None) -> int:
     """Entry point with the documented exit codes."""
     try:
@@ -269,6 +248,10 @@ def main(argv=None) -> int:
     except click.UsageError as exc:
         click.echo(f"usage error: {exc.format_message()}", err=True)
         return 1
+    except OSError as exc:  # a file the OS refuses to open, read or write
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        click.echo(f"data error: {where}{exc.strerror or exc}", err=True)
+        return 2
     except CeselError as exc:  # each class states its own code and prefix
         click.echo(f"{exc.prefix}: {exc}", err=True)
         return exc.exit_code

@@ -259,20 +259,15 @@ class RunReport:
 def resolve_aidm(cfg: PipelineConfig) -> Aidm:
     """Locate the independency matrix named by ``cfg.aidm_source``.
 
-    Raises :class:`DataFileError` when a CSV path cannot be opened or read,
-    or holds no valid independency matrix.
+    A CSV path that holds no valid independency matrix raises
+    :class:`DataFileError`; one the OS cannot open or read raises its
+    ``OSError``.
     """
     if cfg.aidm_source == "reference":
         return reference_aidm()
     if cfg.aidm_source == "computed":
         return assets.computed_aidm()
-    try:
-        return load_aidm_csv(cfg.aidm_source)
-    except OSError as exc:
-        reason = exc.strerror or str(exc)
-        raise DataFileError(f"cannot read AIDM file {cfg.aidm_source!r}: {reason}") from exc
-    except ValueError as exc:
-        raise DataFileError(f"invalid AIDM file {cfg.aidm_source!r}: {exc}") from exc
+    return load_aidm_csv(cfg.aidm_source)
 
 
 def _candidate_config(cfg: PipelineConfig, data_n: int, run_index: int) -> ClustererConfig:
@@ -296,10 +291,11 @@ def run_ces(data: Dataset, cfg: PipelineConfig) -> tuple[Partition, RunReport]:
     by the diversity gate, and capped by ``max_attempts`` so the loop
     always terminates. Raises :class:`CommitteeTooSmall` when fewer than
     two candidates get admitted. A final k above the sample count
-    (:class:`InvalidK`) and, for ``weac``, an unreadable AIDM or one that
-    lacks a roster algorithm (:class:`DataFileError`) fail before any
-    candidate runs. A candidate whose spectrum degenerates is recorded in
-    the trace with its error and not admitted.
+    (:class:`InvalidK`) and, for ``weac``, an AIDM file that the OS
+    cannot read (its ``OSError``), that is invalid or that lacks a roster
+    algorithm (:class:`DataFileError`) fail before any candidate runs. A
+    candidate whose spectrum degenerates is recorded in the trace with its
+    error and not admitted.
 
     Every attempt calls its clusterer on ``data.with_memo()``, which keeps
     the clusterers' seed-free work: ``data`` itself when it already keeps

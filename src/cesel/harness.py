@@ -10,7 +10,6 @@ corruption rate.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -33,7 +32,8 @@ def load_csv(path: str | Path, label_column: str | None = None) -> Dataset:
     appearance. Any other non-numeric or infinite cell raises
     :class:`ParseError` naming the offending row and column, as does a
     file with fewer than two data rows or no feature column, or one that
-    is not UTF-8 text. A leading byte-order mark is dropped.
+    is not UTF-8 text or has a cell longer than the csv module's field
+    limit. A leading byte-order mark is dropped.
     """
     path = Path(path)
     try:
@@ -41,6 +41,8 @@ def load_csv(path: str | Path, label_column: str | None = None) -> Dataset:
             rows = list(csv.reader(fh))
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}: {exc}") from None
     if len(rows) < 3:
         raise ParseError(f"{path}: need a header row and at least two data rows")
     header = [h.strip() for h in rows[0]]
@@ -85,6 +87,24 @@ def load_csv(path: str | Path, label_column: str | None = None) -> Dataset:
         labels=np.array(labels, dtype=int) if label_idx is not None else None,
         feature_names=feature_names,
     )
+
+
+def save_csv(dataset: Dataset, path: str | Path) -> None:
+    """Write ``dataset.raw`` as a UTF-8 CSV that :func:`load_csv` reads back bit for bit.
+
+    Missing cells are written empty, each value as its shortest round-trip
+    repr, and a labelled dataset gets a last ``label`` column of its class
+    codes.
+    """
+    names = list(dataset.feature_names) or [f"f{i}" for i in range(dataset.d)]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names + (["label"] if dataset.labels is not None else []))
+        for i, values in enumerate(dataset.raw):
+            row = ["" if np.isnan(v) else repr(float(v)) for v in values]
+            if dataset.labels is not None:
+                row.append(int(dataset.labels[i]))
+            writer.writerow(row)
 
 
 def gen_half_ring(n: int, noise: float, seed: int) -> Dataset:
@@ -235,13 +255,11 @@ def run_method(method: str, data: Dataset, pipeline: PipelineConfig, seed: int) 
     raise ValueError(f"unknown method {method!r}")
 
 
-def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> dict:
-    """Execute the protocol and return (and optionally write) the report.
+def run_experiment(spec: ExperimentSpec) -> dict:
+    """Execute the protocol and return its report.
 
     The report maps each perturbation rate (0.0 when mode is ``none``) to
-    per-method accuracy results. When ``out_dir`` is given, writes
-    ``report.json`` plus a flat ``summary.csv`` with one row per
-    (rate, method).
+    per-method accuracy results, one row per (rate, method).
     """
     if spec.dataset.labels is None:
         raise ValueError("experiments need a labelled dataset")
@@ -267,7 +285,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> d
             rows.append({"rate": rate, "method": method,
                          "result": AccuracyResult.from_runs(scores)})
 
-    report = {
+    return {
         "dataset": spec.dataset_name,
         "n": spec.dataset.n,
         "d": spec.dataset.d,
@@ -279,16 +297,6 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> d
             for r in rows
         ],
     }
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-        with open(out / "summary.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["rate", "method", "mean_accuracy", "std"])
-            for r in report["rows"]:
-                writer.writerow([r["rate"], r["method"], f"{r['mean']:.2f}", f"{r['std']:.2f}"])
-    return report
 
 
 def sweep_dt(

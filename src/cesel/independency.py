@@ -25,6 +25,7 @@ from .cail import GraphArray
 from .clusterers import BasicParams, _sq_distances
 from .errors import (
     CommitteeTooSmall,
+    DataFileError,
     DimensionMismatch,
     DuplicateAlgorithmId,
     EmptyCell,
@@ -176,31 +177,35 @@ def _fmt(v: float) -> str:
 def load_aidm_csv(path: str | Path) -> Aidm:
     """Read an independency matrix CSV written by :func:`save_aidm_csv`.
 
-    Raises ``ValueError`` for a file not in UTF-8, without a header row of
-    IDs, with a repeated ID, a row count or length that does not match the
-    header, a row label unlike its ID, a non-numeric cell, or a matrix
-    that :class:`Aidm` rejects.
+    A leading byte-order mark is dropped. Raises :class:`DataFileError`
+    naming ``path`` for a file not in UTF-8, with a cell longer than the
+    csv module's field limit, without a header row of IDs, with a
+    repeated ID, a row count or length that does not match the header, a
+    row label unlike its ID, a non-numeric cell, or a matrix that
+    :class:`Aidm` rejects.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except UnicodeDecodeError as exc:
-        raise ValueError(f"not UTF-8 text (byte {exc.start})") from None
+        raise DataFileError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    except csv.Error as exc:
+        raise DataFileError(f"{path}: {exc}") from None
     if not rows or len(rows[0]) < 2:
-        raise ValueError("no header row of algorithm IDs")
+        raise DataFileError(f"{path}: no header row of algorithm IDs")
     ids = tuple(h.strip() for h in rows[0][1:])
     if len(set(ids)) != len(ids):
-        raise ValueError(f"duplicate algorithm IDs in the header: {list(ids)}")
+        raise DataFileError(f"{path}: duplicate algorithm IDs in the header: {list(ids)}")
     body = rows[1:]
     if len(body) != len(ids) or any(len(row) != len(ids) + 1 for row in body):
-        raise ValueError(f"expected {len(ids)} rows of {len(ids) + 1} cells below the header")
+        raise DataFileError(
+            f"{path}: expected {len(ids)} rows of {len(ids) + 1} cells below the header")
     if tuple(row[0].strip() for row in body) != ids:
-        raise ValueError("row labels do not match the header")
+        raise DataFileError(f"{path}: row labels do not match the header")
     try:
-        values = np.array([[float(v) for v in row[1:]] for row in body])
-    except ValueError:
-        raise ValueError("non-numeric cell") from None
-    return Aidm(ids, values)
+        return Aidm(ids, np.array([[float(v) for v in row[1:]] for row in body]))
+    except ValueError as exc:
+        raise DataFileError(f"{path}: {exc}") from None
 
 
 @functools.cache

@@ -14,7 +14,7 @@ from cesel.cail import (
     script_to_array,
     to_graph_array,
 )
-from cesel.errors import EmptyGraph, StructureError, UnknownSymbol
+from cesel.errors import DataFileError, EmptyGraph, StructureError, UnknownSymbol
 
 
 @pytest.fixture(scope="module")
@@ -271,7 +271,7 @@ class TestScmt:
     def test_load_scmt_duplicate(self, tmp_path):
         path = tmp_path / "table.tsv"
         path.write_text("R(1)\ta\nR(1)\tb\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(DataFileError, match="duplicate symbol"):
             load_scmt(path)
 
     def test_byte_order_mark_is_dropped(self, tmp_path):

@@ -1,4 +1,5 @@
 """Command-line surface: subcommands, outputs, exit codes."""
+import errno
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 import cesel
 from cesel import assets, errors
 from cesel.cli import cli, main
-from cesel.harness import gen_half_ring, load_csv
+from cesel.harness import gen_half_ring, inject_missing, inject_noise, load_csv
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +57,7 @@ def test_gen_data_roundtrips(ring_csv):
     ds = load_csv(ring_csv, label_column="label")
     assert ds.n == 60 and ds.d == 2
     direct = gen_half_ring(60, 0.06, seed=3)
-    assert np.allclose(ds.raw, direct.raw)
+    assert np.array_equal(ds.samples, direct.samples)
 
 
 def test_run_with_roster_restriction(iris_path, tmp_path):
@@ -120,12 +121,17 @@ def test_cail_command_dot_export(tmp_path, capsys):
 
 
 def test_perturb_command(ring_csv, tmp_path):
-    out = tmp_path / "missing.csv"
-    rc = main(["perturb", "--data", ring_csv, "--label", "label",
-               "--mode", "missing", "--rate", "0.1", "--seed", "2",
-               "--out", str(out)])
-    assert rc == 0
-    text = out.read_text()
+    # the written raw matrix reloads to the perturbed dataset bit for bit
+    ring = load_csv(ring_csv, label_column="label")
+    for mode, inject in [("missing", inject_missing), ("noise", inject_noise)]:
+        out = tmp_path / f"{mode}.csv"
+        rc = main(["perturb", "--data", ring_csv, "--label", "label",
+                   "--mode", mode, "--rate", "0.1", "--seed", "2",
+                   "--out", str(out)])
+        assert rc == 0
+        expected = inject(ring, 0.1, 2)
+        assert np.array_equal(load_csv(out, label_column="label").samples, expected.samples)
+    text = (tmp_path / "missing.csv").read_text()
     assert text.count(",,") + text.count(",\n") > 0  # empty cells present
 
 
@@ -181,7 +187,8 @@ class TestExitCodes:
         ("lab\nx\ny\n", ["--label", "lab"]),
         ("a,b\n1,inf\n2,3\n", []),
         ("a,b\n1,caf\xe9\n2,3\n", []),
-    ], ids=["non-numeric", "one-row", "label-only", "infinite", "not-utf8"])
+        ("a,b\n1," + "1" * 200_000 + "\n2,3\n", []),
+    ], ids=["non-numeric", "one-row", "label-only", "infinite", "not-utf8", "long-cell"])
     def test_data_error_is_2(self, tmp_path, capsys, text, flags):
         bad = tmp_path / "bad.csv"
         bad.write_text(text, encoding="latin-1")
@@ -244,8 +251,10 @@ class TestExitCodes:
         ",K,F\nK,-1,nan\nF,nan,-1\n",
         ",K,K\nK,-1,0.5\nK,0.5,-1\n",
         ",K,F\nK,-1,0.5\nF,0.5,-1\n# caf\xe9\n",
+        ",K,F\nK,-1," + "1" * 200_000 + "\nF,0.5,-1\n",
     ], ids=["empty", "missing-row", "ragged-row", "non-numeric", "label-order",
-            "asymmetric", "diagonal", "above-one", "nan", "duplicate-id", "not-utf8"])
+            "asymmetric", "diagonal", "above-one", "nan", "duplicate-id", "not-utf8",
+            "long-cell"])
     def test_bad_aidm_is_data_error_before_any_candidate(
         self, iris_path, tmp_path, text, no_candidates, capsys
     ):
@@ -372,10 +381,19 @@ class TestExitCodes:
         assert ("not UTF-8 text (byte" in err) == ("\xe9" in table)
 
     def test_script_directory_without_scripts_is_data_error(self, tmp_path, capsys):
-        rc = main(["aidm", "--scripts", str(tmp_path), "--out", str(tmp_path / "a.csv")])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert err.startswith("data error: ") and err.count("\n") == 1
+        # empty, then a directory named like a script, then a dangling link
+        # named like one: no entry is a readable script
+        empty, sub, dangling = (tmp_path / name for name in ("empty", "sub", "dangling"))
+        for directory in (empty, sub, dangling):
+            directory.mkdir()
+        (sub / "x.cail").mkdir()
+        (dangling / "y.cail").symlink_to(tmp_path / "missing.cail")
+        for directory in (empty, sub, dangling):
+            rc = main(["aidm", "--scripts", str(directory), "--out", str(tmp_path / "a.csv")])
+            err = capsys.readouterr().err
+            assert rc == 2, directory
+            assert err.startswith("data error: ") and err.count("\n") == 1
+            assert str(directory) in err
 
     @pytest.mark.parametrize("args", [
         ["run", "--data", "DIR", "--k", "3"],
@@ -440,6 +458,24 @@ class TestExitCodes:
         assert err.startswith("usage error: ") and err.count("\n") == 1
         assert "does not exist" in err and str(missing) in err
         assert not missing.exists()
+
+    @pytest.mark.parametrize("refused", ["gen-data-full", "aidm-full", "run-permission"])
+    def test_refused_file_is_data_error(self, iris_path, refused, monkeypatch, capsys):
+        # an OSError names its file when it carries one; a failed flush does not
+        if refused == "run-permission":
+            def deny(path, **kwargs):  # root reads files whatever their mode
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+            monkeypatch.setattr("cesel.cli.load_csv", deny)
+            args = ["run", "--data", iris_path, "--k", "3"]
+            expected = f"{iris_path}: {os.strerror(errno.EACCES)}"
+        else:
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full device")
+            args = [refused.removesuffix("-full"), "--out", "/dev/full"]
+            expected = os.strerror(errno.ENOSPC)
+        rc = main(args)
+        assert (rc, capsys.readouterr().err) == (2, f"data error: {expected}\n")
 
     def test_aidm_directory_is_data_error_before_any_candidate(
         self, iris_path, tmp_path, no_candidates, capsys

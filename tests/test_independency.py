@@ -13,6 +13,7 @@ from cesel.consensus import CommitteeEntry
 from cesel.clusterers import Partition
 from cesel.errors import (
     CommitteeTooSmall,
+    DataFileError,
     DimensionMismatch,
     DuplicateAlgorithmId,
     EmptyCell,
@@ -197,6 +198,26 @@ class TestAidm:
         loaded = load_aidm_csv(path)
         assert loaded.algorithm_ids == aidm.algorithm_ids
         assert np.array_equal(loaded.values, aidm.values)
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "aidm.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + assets._data_path("aidm_reference.csv").read_bytes())
+        loaded, reference = load_aidm_csv(path), reference_aidm()
+        assert loaded.algorithm_ids == reference.algorithm_ids
+        assert np.array_equal(loaded.values, reference.values)
+
+    @pytest.mark.parametrize("text", [
+        ",K,F\nK,-1,0.5\n",
+        ",K,F\nK,-1,oops\nF,0.5,-1\n",
+        ",K,F\nK,-1,0.5\nF,0.4,-1\n",
+        ",K,F\nK,-1," + "1" * 200_000 + "\nF,0.5,-1\n",
+    ], ids=["missing-row", "non-numeric", "asymmetric", "long-cell"])
+    def test_bad_file_is_data_error_naming_it(self, tmp_path, text):
+        path = tmp_path / "aidm.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataFileError) as caught:
+            load_aidm_csv(path)
+        assert str(caught.value).startswith(f"{path}: ")
 
 
 class TestReferenceAidm:
