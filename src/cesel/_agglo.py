@@ -1,11 +1,9 @@
-"""Agglomerative merging on a precomputed dissimilarity matrix.
+"""Average-linkage merging on a precomputed dissimilarity matrix.
 
-This Lance-Williams style engine serves the inputs whose distances tie by
-construction: the Hamming linkage clusterers (distances are multiples of
-1/d) and the consensus step (1 - co-association takes few values). There
-the tie rule below decides the partition. The Euclidean and cosine
-linkage clusterers use scipy's compiled ``linkage`` instead, which merges
-tie-free inputs the same way (see ``clusterers.run_linkage``).
+This engine serves the consensus merge alone: 1 - co-association takes
+few values, so its distances tie, and the tie rule below decides the
+partition. Every linkage clusterer merges on scipy's compiled
+``linkage`` instead (see ``clusterers.linkage_merge``).
 
 A merge tree is scipy's linkage matrix, a float (n-1, 4) array: row ``i``
 holds merge ``i``'s (left node, right node, height, size), samples are
@@ -25,9 +23,10 @@ rows whose cached minimum pointed at a merged cluster and grew. That
 costs O(n^2) in the typical case and O(n^3) in the worst case, when most
 rows must rescan at most steps.
 
-:func:`chain_tree` is the loop's tree when every pairwise distance is 1,
-the Hamming case of continuous features, for every method: there every
-update returns exactly 1, so the loop only follows its tie rule.
+:func:`chain_tree` is the merge tree of the Hamming linkage clusterers on
+continuous features, where every pairwise distance is 1: it is the tree
+the row-major tie rule gives there under single, complete, average or
+Ward updates, since each of them returns exactly 1.
 """
 from __future__ import annotations
 
@@ -35,13 +34,9 @@ import numpy as np
 
 from .errors import InvalidK
 
-LINKAGE_METHODS = ("single", "complete", "average", "ward")
 
-
-def linkage_merge(
-    dissimilarity: np.ndarray, method: str, sizes: np.ndarray | None = None
-) -> np.ndarray:
-    """Run bottom-up merging; returns the (n-1, 4) linkage matrix.
+def linkage_merge(dissimilarity: np.ndarray, sizes: np.ndarray | None = None) -> np.ndarray:
+    """Run bottom-up average linkage; returns the (n-1, 4) linkage matrix.
 
     Ties in the closest pair go to the smallest (row, column) slot pair,
     which keeps the merge sequence deterministic. Entries must not be
@@ -49,11 +44,9 @@ def linkage_merge(
 
     ``sizes`` gives each starting node's size (default: all ones). With
     sizes, row i stands for ``sizes[i]`` samples that merged at distance
-    0 among themselves, so ``"average"`` merges the groups as it would
-    the samples; the size column counts samples, not rows.
+    0 among themselves, and the groups merge as the samples would; the
+    size column counts samples, not rows.
     """
-    if method not in LINKAGE_METHODS:
-        raise ValueError(f"unknown linkage method {method!r}")
     d = np.asarray(dissimilarity, dtype=float).copy()
     n = d.shape[0]
     if d.shape != (n, n):
@@ -81,18 +74,8 @@ def linkage_merge(
         i, j = (r, c) if r < c else (c, r)
         height = float(d[i, j])
 
-        dki = d[:, i]
-        dkj = d[:, j]
         si, sj = size[i], size[j]
-        if method == "single":
-            new = np.minimum(dki, dkj)
-        elif method == "complete":
-            new = np.maximum(dki, dkj)
-        elif method == "average":
-            new = (si * dki + sj * dkj) / (si + sj)
-        else:  # ward, treating stored values as Euclidean-like distances
-            num = (si + size) * dki**2 + (sj + size) * dkj**2 - size * height**2
-            new = np.sqrt(np.maximum(num / (si + sj + size), 0.0))
+        new = (si * d[:, i] + sj * d[:, j]) / (si + sj)
         new[i] = new[j] = np.inf
         d[:, i] = new
         d[i, :] = new

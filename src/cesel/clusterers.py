@@ -15,7 +15,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from ._agglo import chain_tree, cut_merges, linkage_merge
+from ._agglo import chain_tree, cut_merges
 from .errors import AllMissingColumn, ColumnOverflow, DegenerateSpectrum, InvalidK
 
 KMEANS_ID = "K"
@@ -40,8 +40,8 @@ class Dataset:
     raw: np.ndarray                        # (n, d) float, NaN = missing
     labels: np.ndarray | None = None       # (n,) int class labels, evaluation only
     feature_names: tuple[str, ...] = ()
-    # linkage ID -> read-only merge tree, (linkage ID, k) -> its read-only cut,
-    # ("SPS", k) -> read-only embedding or the message of its
+    # linkage ID -> read-only tree from linkage_merge, (linkage ID, k) -> its
+    # read-only cut, ("SPS", k) -> read-only embedding or the message of its
     # DegenerateSpectrum; None unless made by with_memo()
     _memo: dict | None = field(default=None, repr=False, compare=False)
 
@@ -142,13 +142,6 @@ class BasicParams:
             raise ValueError("basic parameters need at least one row")
         if not np.isfinite(self.rows).all():
             raise ValueError("basic parameters must be finite")
-
-    def to_dict(self) -> dict:
-        return {"algorithm_id": self.algorithm_id, "rows": self.rows.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BasicParams":
-        return cls(d["algorithm_id"], np.asarray(d["rows"], dtype=float))
 
 
 def preprocess(
@@ -461,22 +454,20 @@ def _cosine_distances(x: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _linkage_tree(x: np.ndarray, alg: str) -> np.ndarray:
+def linkage_merge(x: np.ndarray, alg: str) -> np.ndarray:
     """The (n-1, 4) merge tree of linkage ID ``alg`` on samples ``x``."""
-    method = _LINKAGE_NAMES[alg[0]]
     # Sorted neighbours apart in every column: no two samples share a
     # coordinate, and every Hamming distance is d/d = 1.
     if alg[2] == "H" and np.all(np.diff(np.sort(x, axis=0), axis=0) > 0):
         return chain_tree(len(x))
     # Imported on first use: scipy.spatial takes ~50 ms to load, which runs
     # and commands without such a linkage need not pay.
-    from scipy.spatial.distance import pdist, squareform
-
-    if alg[2] == "H":
-        return linkage_merge(squareform(pdist(x, "hamming")), method)
     from scipy.cluster.hierarchy import linkage
+    from scipy.spatial.distance import pdist
 
-    return linkage(pdist(x) if alg[2] == "E" else _cosine_distances(x), method)
+    metric = {"E": "euclidean", "H": "hamming"}.get(alg[2])
+    dist = pdist(x, metric) if metric else _cosine_distances(x)
+    return linkage(dist, _LINKAGE_NAMES[alg[0]])
 
 
 def run_linkage(data: Dataset, cfg: ClustererConfig) -> tuple[Partition, BasicParams]:
@@ -489,19 +480,16 @@ def run_linkage(data: Dataset, cfg: ClustererConfig) -> tuple[Partition, BasicPa
     dependent at run level.
 
     A Hamming distance is the share of coordinates that differ, exactly
-    as ``pdist(x, "hamming")`` counts them (0.0 equals -0.0). These
-    distances are multiples of 1/d and tie by construction, so the
-    ``?LH`` IDs merge on the exact engine of :mod:`cesel._agglo`, whose
-    row-major tie rule then decides the partition. Where no two
+    as ``pdist(x, "hamming")`` counts them (0.0 equals -0.0). Where no two
     samples share a coordinate, every Hamming distance is 1 and the tree
-    is the engine's ``chain_tree``, built without a distance matrix; its
-    cuts leave the last k-1 samples as singletons. Euclidean and cosine
-    IDs merge scipy's condensed ``pdist`` distances on its compiled
-    ``linkage`` (Müllner's MST and NN-chain algorithms). Either linkage
-    matrix goes to the one cut, ``cut_merges``. On tie-free distances both
-    give the same partition at every k. Where distances tie, scipy may
-    merge the tied pairs in another order and so cut a different, equally
-    deterministic partition.
+    is :func:`cesel._agglo.chain_tree`, built without a distance matrix;
+    its cuts leave the last k-1 samples as singletons. Otherwise every ID
+    merges scipy's condensed distances (``pdist``, or
+    :func:`_cosine_distances`) on its compiled ``linkage`` (Müllner's MST
+    and NN-chain algorithms), which :func:`linkage_merge` wraps, and the
+    linkage matrix goes to the one cut, ``cut_merges``. Where distances
+    tie, as Hamming distances do by construction (multiples of 1/d),
+    scipy's order among the tied pairs decides the partition.
 
     The tree depends on neither k nor the seed: on a dataset from
     :meth:`Dataset.with_memo` it is built once per linkage ID and cut once
@@ -512,7 +500,7 @@ def run_linkage(data: Dataset, cfg: ClustererConfig) -> tuple[Partition, BasicPa
         raise ValueError(f"not a linkage algorithm ID: {alg!r}")
     if cfg.k > data.n:
         raise InvalidK(f"k={cfg.k} exceeds sample count {data.n}")
-    tree = _memoized(data, alg, lambda: _linkage_tree(data.samples, alg))
+    tree = _memoized(data, alg, lambda: linkage_merge(data.samples, alg))
     labels = _memoized(data, (alg, cfg.k), lambda: cut_merges(tree, cfg.k))
     code = np.array([["SACW".index(alg[0]), "EHC".index(alg[2])]], dtype=float)
     return Partition(labels, cfg.k), BasicParams(alg, code)

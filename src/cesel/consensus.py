@@ -146,7 +146,7 @@ def average_linkage(co_association: np.ndarray, sizes: np.ndarray | None = None)
     but its size column counts samples, not leaves.
     """
     dissimilarity = 1.0 - np.asarray(co_association, dtype=float)
-    return linkage_merge(dissimilarity, "average", sizes)
+    return linkage_merge(dissimilarity, sizes)
 
 
 def cut(tree: np.ndarray, k: int) -> Partition:

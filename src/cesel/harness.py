@@ -188,11 +188,13 @@ def inject_noise(data: Dataset, rate: float, seed: int) -> Dataset:
 
     Replacement happens on the z-scored matrix (so the noise is on the
     feature scale the clusterers see), then columns are re-standardized.
+    The draws come from a stream of their own, ``SeedSequence([seed, 1])``,
+    independent of the one that picked the cells.
     """
     cells = _pick_cells(data.n, data.d, rate, seed)
     if cells.size == 0:
         return data
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     perturbed = data.samples.copy()
     perturbed.reshape(-1)[cells] = rng.standard_normal(cells.size)
     return preprocess(perturbed, labels=data.labels, feature_names=data.feature_names)

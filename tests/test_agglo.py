@@ -1,15 +1,15 @@
-"""The linkage engine and the cut against plain reference loops.
+"""The consensus engine and the cut against plain reference loops.
 
-The first oracle below is the original engine: at every step it copies
-the active submatrix and takes its row-major first minimum. The cached
-engine must reproduce its linkage matrix exactly (same pairs,
-bit-identical heights) for every method, above all on tie-heavy inputs.
-On a matrix with one off-diagonal value the engine's tree is a chain;
-at value 1, the Hamming distances of continuous features, ``chain_tree``
-builds it without a matrix and must equal the engine's tree.
-The second oracle is the original cut, a Python union-find over the
-merge records; the vectorised cut must label every tree as it does, for
-the engine's trees and scipy's.
+The first oracle, ``oracle_linkage_merge``, is the original engine: at
+every step it copies the active submatrix and takes its row-major first
+minimum. The cached engine must reproduce its average-linkage matrix
+exactly (same pairs, bit-identical heights), above all on tie-heavy
+inputs. On a matrix with one off-diagonal value the loop's tree is a
+chain; at value 1, the Hamming distances of continuous features,
+``chain_tree`` builds it without a matrix and must equal the loop's tree
+under every method. The second oracle is the original cut, a Python
+union-find over the merge records; the vectorised cut must label every
+tree as it does, for the engine's trees and scipy's.
 """
 import numpy as np
 import pytest
@@ -18,11 +18,14 @@ from hypothesis.extra.numpy import arrays
 from scipy.cluster.hierarchy import linkage
 from scipy.spatial.distance import pdist, squareform
 
-from cesel import assets
-from cesel._agglo import LINKAGE_METHODS, chain_tree, cut_merges, linkage_merge
-from cesel.clusterers import _cosine_distances
+from cesel import assets, clusterers
+from cesel._agglo import chain_tree, cut_merges, linkage_merge
+from cesel.clusterers import LINKAGE_IDS, _cosine_distances
 from cesel.errors import InvalidK
 from cesel.harness import load_csv
+from linkage_oracle import oracle_linkage_merge
+
+METHODS = tuple(clusterers._LINKAGE_NAMES.values())
 
 
 # Square forms of the clusterers' condensed distances, as the engine takes them.
@@ -36,56 +39,6 @@ def cosine_matrix(x):
 
 def hamming_matrix(x):
     return squareform(pdist(x, "hamming"))
-
-
-def oracle_linkage_merge(dissimilarity, method, sizes=None):
-    """Full-scan Lance-Williams merging: O(n^3), ties to the smallest (row, column)."""
-    d = np.asarray(dissimilarity, dtype=float).copy()
-    n = d.shape[0]
-    np.fill_diagonal(d, np.inf)
-
-    active = np.ones(n, dtype=bool)
-    node_id = np.arange(n)
-    size = np.ones(n, dtype=int) if sizes is None else np.array(sizes, dtype=int)
-    merges = []
-
-    for step in range(n - 1):
-        idx = np.flatnonzero(active)
-        sub = d[np.ix_(idx, idx)]
-        r, c = np.unravel_index(int(np.argmin(sub)), sub.shape)
-        i, j = int(idx[r]), int(idx[c])
-        if i > j:
-            i, j = j, i
-        height = float(d[i, j])
-
-        others = idx[(idx != i) & (idx != j)]
-        if others.size:
-            dki = d[others, i]
-            dkj = d[others, j]
-            if method == "single":
-                new = np.minimum(dki, dkj)
-            elif method == "complete":
-                new = np.maximum(dki, dkj)
-            elif method == "average":
-                new = (size[i] * dki + size[j] * dkj) / (size[i] + size[j])
-            else:
-                sk = size[others]
-                num = (
-                    (size[i] + sk) * dki**2
-                    + (size[j] + sk) * dkj**2
-                    - sk * height**2
-                )
-                new = np.sqrt(np.maximum(num / (size[i] + size[j] + sk), 0.0))
-            d[others, i] = new
-            d[i, others] = new
-
-        left, right = sorted((int(node_id[i]), int(node_id[j])))
-        size[i] += size[j]
-        merges.append((left, right, height, int(size[i])))
-        node_id[i] = n + step
-        active[j] = False
-
-    return np.array(merges, dtype=float).reshape(-1, 4)
 
 
 def oracle_cut_merges(tree, k):
@@ -137,42 +90,39 @@ def dissimilarities(draw):
 @settings(max_examples=200, deadline=None)
 @given(dissimilarities())
 def test_matches_full_scan_oracle(d):
-    for method in LINKAGE_METHODS:
-        merges = oracle_linkage_merge(d, method)
-        assert np.array_equal(linkage_merge(d, method), merges)
-        assert np.array_equal(linkage_merge(d, method, sizes=np.ones(len(d))), merges)
+    merges = oracle_linkage_merge(d, "average")
+    assert np.array_equal(linkage_merge(d), merges)
+    assert np.array_equal(linkage_merge(d, sizes=np.ones(len(d))), merges)
 
 
 @settings(max_examples=200, deadline=None)
 @given(dissimilarities())
 def test_cut_matches_union_find_oracle(d):
     n = len(d)
-    for method in LINKAGE_METHODS:
-        trees = [linkage_merge(d, method)]
-        if n > 1:
-            trees.append(linkage(squareform(d, checks=False), method))
-        for tree in trees:
-            for k in range(1, n + 1):
-                assert np.array_equal(cut_merges(tree, k), oracle_cut_merges(tree, k)), k
+    trees = [linkage_merge(d)]
+    if n > 1:
+        trees += [linkage(squareform(d, checks=False), method) for method in METHODS]
+    for tree in trees:
+        for k in range(1, n + 1):
+            assert np.array_equal(cut_merges(tree, k), oracle_cut_merges(tree, k)), k
 
 
 def test_cut_edges():
-    tree = linkage_merge(euclidean_matrix(np.arange(4.0)[:, None]), "single")
+    tree = linkage_merge(euclidean_matrix(np.arange(4.0)[:, None]))
     for k in (0, 5):
         with pytest.raises(InvalidK):
             cut_merges(tree, k)
-    single = linkage_merge(np.zeros((1, 1)), "single")
+    single = linkage_merge(np.zeros((1, 1)))
     assert cut_merges(single, 1).tolist() == [0]
     with pytest.raises(InvalidK):
         cut_merges(single, 2)
 
 
 @pytest.mark.parametrize("distance", [euclidean_matrix, hamming_matrix, cosine_matrix])
-@pytest.mark.parametrize("method", LINKAGE_METHODS)
-def test_matches_oracle_on_iris(distance, method):
+def test_matches_oracle_on_iris(distance):
     # n=150 with duplicate samples: long runs of rescans and exact ties.
     d = distance(load_csv(assets.iris_csv_path(), label_column="species").samples)
-    assert np.array_equal(linkage_merge(d, method), oracle_linkage_merge(d, method))
+    assert np.array_equal(linkage_merge(d), oracle_linkage_merge(d, "average"))
 
 
 def _canonical(labels):
@@ -190,8 +140,8 @@ def test_sized_average_matches_expanded_unit_merge(u, dim, seed, data):
     d = euclidean_matrix(rng.random((u, dim)))  # tie-free with probability 1
     sizes = np.array(data.draw(st.lists(st.integers(1, 4), min_size=u, max_size=u)))
     group = rng.permutation(np.repeat(np.arange(u), sizes))
-    sized = linkage_merge(d, "average", sizes=sizes)
-    unit = linkage_merge(d[np.ix_(group, group)], "average")
+    sized = linkage_merge(d, sizes=sizes)
+    unit = linkage_merge(d[np.ix_(group, group)])
     assert sized[-1, 3] == sizes.sum()
     for k in range(1, u + 1):
         expanded = cut_merges(sized, k)[group]
@@ -220,57 +170,66 @@ def _expected_chain(n, level, sizes):
 def test_constant_matrix_merges_as_the_oracle(n, level, data):
     d = _constant(n, level)
     sizes = np.array(data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
-    for method in LINKAGE_METHODS:
-        exact_chain = method in ("single", "complete") or level in (0.0, 1.0)
-        for given_sizes in (None, sizes):
-            tree = linkage_merge(d, method, given_sizes)
-            assert np.array_equal(tree, oracle_linkage_merge(d, method, given_sizes))
-            if exact_chain and n > 1:
-                unit = np.ones(n, dtype=int) if given_sizes is None else given_sizes
-                assert np.array_equal(tree, _expected_chain(n, level, unit))
-        if level > 0 and method != "ward" and exact_chain:
-            # The sized tree cuts as the unit merge of its expanded matrix,
-            # where each row's samples sit at distance 0 from each other.
-            group = np.repeat(np.arange(n), sizes)
-            expanded = np.where(group[:, None] == group[None, :], 0.0, level)
-            unit_tree = linkage_merge(expanded, method)
-            assert np.array_equal(unit_tree[len(unit_tree) - len(tree):, 2:], tree[:, 2:])
-            for k in range(1, n + 1):
-                assert np.array_equal(cut_merges(tree, k)[group], cut_merges(unit_tree, k))
+    # Averages of one level round back to it only at 0 and 1.
+    exact_chain = level in (0.0, 1.0)
+    for given_sizes in (None, sizes):
+        tree = linkage_merge(d, given_sizes)
+        assert np.array_equal(tree, oracle_linkage_merge(d, "average", given_sizes))
+        if exact_chain and n > 1:
+            unit = np.ones(n, dtype=int) if given_sizes is None else given_sizes
+            assert np.array_equal(tree, _expected_chain(n, level, unit))
+    if level == 1.0:
+        # The sized tree cuts as the unit merge of its expanded matrix,
+        # where each row's samples sit at distance 0 from each other.
+        group = np.repeat(np.arange(n), sizes)
+        expanded = np.where(group[:, None] == group[None, :], 0.0, level)
+        unit_tree = linkage_merge(expanded)
+        assert np.array_equal(unit_tree[len(unit_tree) - len(tree):, 2:], tree[:, 2:])
+        for k in range(1, n + 1):
+            assert np.array_equal(cut_merges(tree, k)[group], cut_merges(unit_tree, k))
 
 
-@pytest.mark.parametrize("method", LINKAGE_METHODS)
+@pytest.mark.parametrize("method", METHODS)
 def test_chain_tree_is_the_loop_tree_at_level_one(method):
     for n in range(2, 61):
-        assert np.array_equal(chain_tree(n), linkage_merge(_constant(n, 1.0), method)), n
+        assert np.array_equal(chain_tree(n), oracle_linkage_merge(_constant(n, 1.0), method)), n
+    # scipy builds the chain too, except under Ward from n = 6 on: there the
+    # Hamming IDs keep the loop's order.
+    for n in (5, 50, 200):
+        scipy_tree = linkage(np.ones(n * (n - 1) // 2), method)
+        assert np.array_equal(chain_tree(n), scipy_tree) == (method != "ward" or n == 5), n
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(2, 40), st.integers(1, 4), st.integers(0, 2**32 - 1), st.data())
 def test_one_shared_coordinate_falls_through(n, dim, seed, data):
     # Continuous points give an all-ones Hamming matrix; one shared
-    # coordinate lowers one pair to (dim - 1) / dim, and the loop decides.
+    # coordinate lowers one pair to (dim - 1) / dim, so the Hamming IDs
+    # leave the chain for scipy, and every tree merges that pair first.
     x = np.random.default_rng(seed).normal(size=(n, dim))
     i, j = sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
     col = data.draw(st.integers(0, dim - 1))
     x[j, col] = x[i, col]
     d = hamming_matrix(x)
     assert np.count_nonzero(d < 1.0) == n + 2
-    for method in LINKAGE_METHODS:
-        tree = linkage_merge(d, method)
-        assert np.array_equal(tree, oracle_linkage_merge(d, method))
+    tree = linkage_merge(d)
+    assert np.array_equal(tree, oracle_linkage_merge(d, "average"))
+    trees = [tree]
+    for alg in (alg for alg in LINKAGE_IDS if alg[2] == "H"):
+        method = clusterers._LINKAGE_NAMES[alg[0]]
+        trees.append(clusterers.linkage_merge(x, alg))
+        assert np.array_equal(trees[-1], linkage(pdist(x, "hamming"), method))
+    for tree in trees:
         assert tree[0].tolist() == [i, j, (dim - 1) / dim, 2]
 
 
 def test_rejects_bad_input():
-    with pytest.raises(ValueError, match="unknown linkage"):
-        linkage_merge(np.zeros((3, 3)), "median")
     with pytest.raises(ValueError, match="square"):
-        linkage_merge(np.zeros((3, 2)), "single")
-    assert np.array_equal(linkage_merge(np.zeros((1, 1)), "single"), np.empty((0, 4)))
+        linkage_merge(np.zeros((3, 2)))
+    assert np.array_equal(linkage_merge(np.zeros((1, 1))), np.empty((0, 4)))
     with pytest.raises(ValueError, match="sizes"):
-        linkage_merge(np.zeros((3, 3)), "average", sizes=[1, 2])
+        linkage_merge(np.zeros((3, 3)), sizes=[1, 2])
     with pytest.raises(ValueError, match="sizes"):
-        linkage_merge(np.zeros((3, 3)), "average", sizes=[1, 0, 2])
+        linkage_merge(np.zeros((3, 3)), sizes=[1, 0, 2])
     with pytest.raises(ValueError, match="sizes"):
-        linkage_merge(np.zeros((3, 3)), "average", sizes=[1, 1.5, 2])
+        linkage_merge(np.zeros((3, 3)), sizes=[1, 1.5, 2])

@@ -2,10 +2,11 @@
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.cluster.hierarchy import linkage
 from scipy.spatial.distance import pdist, squareform
 
 from cesel import assets, clusterers
-from cesel._agglo import cut_merges, linkage_merge
+from cesel._agglo import cut_merges
 from cesel.clusterers import (
     ALGORITHM_IDS,
     ClustererConfig,
@@ -13,7 +14,7 @@ from cesel.clusterers import (
     LINKAGE_IDS,
     Partition,
     _cosine_distances,
-    _linkage_tree,
+    linkage_merge,
     preprocess,
     run_algorithm,
     run_fcm,
@@ -24,6 +25,7 @@ from cesel.clusterers import (
 from cesel.errors import AllMissingColumn, ColumnOverflow, InvalidK
 from cesel.harness import accuracy, gen_blobs, gen_half_ring, load_csv
 from cesel.independency import bpi
+from linkage_oracle import oracle_linkage_merge
 
 
 def _unscaled(points):
@@ -202,24 +204,25 @@ class TestLinkage:
         with pytest.raises(ValueError):
             run_linkage(RECTANGLE, ClustererConfig("XLE", k=2, seed=0))
 
-    def test_only_hamming_ids_reach_the_engine(self, monkeypatch):
-        reached = []
-
-        def counting(dissimilarity, method):
-            reached.append(method)
-            return linkage_merge(dissimilarity, method)
-
-        monkeypatch.setattr(clusterers, "linkage_merge", counting)
-        blobs = gen_blobs(8, [[0, 0], [5, 5], [0, 9]], 0.4, seed=9)
-        for alg in LINKAGE_IDS:  # continuous: the Hamming IDs chain without the engine
-            run_linkage(blobs, ClustererConfig(alg, k=3, seed=0))
-        assert reached == []
-        data = preprocess(np.round(blobs.raw))  # tied coordinates
+    def test_every_id_merges_on_scipy(self, monkeypatch):
+        # Tied iris: each ID's tree is scipy's on its condensed distances.
+        x = load_csv(assets.iris_csv_path(), label_column="species").samples
+        condensed = {"E": pdist(x), "H": pdist(x, "hamming"), "C": _cosine_distances(x)}
         for alg in LINKAGE_IDS:
-            before = len(reached)
-            run_linkage(data, ClustererConfig(alg, k=3, seed=0))
-            assert len(reached) - before == (alg[2] == "H"), alg
-        assert sorted(reached) == ["average", "complete", "single", "ward"]
+            want = linkage(condensed[alg[2]], clusterers._LINKAGE_NAMES[alg[0]])
+            assert np.array_equal(linkage_merge(x, alg), want), alg
+        # Continuous blobs: the Hamming IDs chain without a distance matrix.
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return pdist(*args)
+
+        monkeypatch.setattr("scipy.spatial.distance.pdist", counting)
+        blobs = gen_blobs(8, [[0, 0], [5, 5], [0, 9]], 0.4, seed=9)
+        for alg in LINKAGE_IDS:
+            run_linkage(blobs, ClustererConfig(alg, k=3, seed=0))
+        assert len(built) == sum(alg[2] != "H" for alg in LINKAGE_IDS)
 
     @pytest.mark.parametrize("alg", [alg for alg in LINKAGE_IDS if alg[2] == "H"])
     def test_hamming_ids_chain_without_a_distance_matrix(self, alg, monkeypatch):
@@ -228,7 +231,7 @@ class TestLinkage:
             raise AssertionError("no n x n Hamming work on all-distinct data")
 
         monkeypatch.setattr("scipy.spatial.distance.pdist", forbidden)
-        monkeypatch.setattr(clusterers, "linkage_merge", forbidden)
+        monkeypatch.setattr("scipy.cluster.hierarchy.linkage", forbidden)
         n = 30
         data = gen_half_ring(n, 0.05, seed=5)
         for k in range(1, n + 1):
@@ -249,28 +252,36 @@ class TestLinkage:
     @given(st.integers(3, 40), st.integers(1, 6), st.integers(0, 2**32 - 1),
            st.sampled_from([alg for alg in LINKAGE_IDS if alg[2] != "H"]))
     def test_scipy_path_matches_engine_on_tie_free_points(self, n, d, seed, alg):
+        # The engine is the row-major loop, oracle_linkage_merge.
         data = _unscaled(np.random.default_rng(seed).normal(size=(n, d)))
         condensed = {"E": pdist, "C": _cosine_distances}[alg[2]](data.samples)
         assume(np.unique(condensed).size == condensed.size)
-        tree = linkage_merge(squareform(condensed), clusterers._LINKAGE_NAMES[alg[0]])
+        tree = oracle_linkage_merge(squareform(condensed), clusterers._LINKAGE_NAMES[alg[0]])
         for k in range(1, n + 1):
             part, _ = run_linkage(data, ClustererConfig(alg, k=k, seed=0))
             assert np.array_equal(part.assignments, cut_merges(tree, k)), k
 
     def test_scipy_path_matches_engine_on_iris_up_to_k_77(self):
-        # 639 of iris's 11,175 Euclidean distances repeat another, so scipy
-        # may merge tied pairs in another order than the engine. The cuts
-        # agree at every k a pipeline draws (at most 2 * k_final) and far
-        # beyond; 5 of the 584 cuts above k = 77 differ.
+        # The engine here is the row-major loop, oracle_linkage_merge. 639 of
+        # iris's 11,175 Euclidean distances repeat another, so scipy may
+        # merge tied pairs in another order. On the eight ?LE/?LC IDs the
+        # cuts agree at every k a pipeline draws (at most 2 * k_final) and
+        # far beyond; 5 of the 584 cuts above k = 77 differ. The Hamming
+        # distances take 5 values: SLH cuts as the loop up to k = 108, and
+        # the other three ?LH IDs cut other partitions from k = 2 on.
         x = load_csv(assets.iris_csv_path(), label_column="species").samples
-        differ = []
-        for alg in (a for a in LINKAGE_IDS if a[2] != "H"):
-            condensed = pdist(x) if alg[2] == "E" else _cosine_distances(x)
-            engine = linkage_merge(squareform(condensed), clusterers._LINKAGE_NAMES[alg[0]])
-            tree = _linkage_tree(x, alg)
-            differ += [k for k in range(1, len(x) + 1)
-                       if not np.array_equal(cut_merges(tree, k), cut_merges(engine, k))]
-        assert min(differ) == 78 and len(differ) == 5
+        condensed = {"E": pdist(x), "H": pdist(x, "hamming"), "C": _cosine_distances(x)}
+        differ = {}
+        for alg in LINKAGE_IDS:
+            loop = oracle_linkage_merge(squareform(condensed[alg[2]]),
+                                        clusterers._LINKAGE_NAMES[alg[0]])
+            tree = linkage_merge(x, alg)
+            differ[alg] = [k for k in range(1, len(x) + 1)
+                           if not np.array_equal(cut_merges(tree, k), cut_merges(loop, k))]
+        tie_free = sorted(k for alg, ks in differ.items() if alg[2] != "H" for k in ks)
+        assert min(tie_free) == 78 and len(tie_free) == 5
+        assert min(differ["SLH"]) == 109
+        assert [min(differ[alg]) for alg in ("ALH", "CLH", "WLH")] == [2, 2, 2]
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 12), st.integers(1, 3), st.integers(0, 2**32 - 1), st.data())
@@ -303,7 +314,7 @@ class TestLinkage:
 class TestDistanceMatrices:
     def test_euclidean_basics(self):
         x = np.array([[0.0, 0.0], [3.0, 4.0]])
-        assert _linkage_tree(x, "SLE").tolist() == [[0.0, 1.0, 5.0, 2.0]]
+        assert linkage_merge(x, "SLE").tolist() == [[0.0, 1.0, 5.0, 2.0]]
 
     def test_hamming_counts_differing_coordinates(self):
         x = np.array([[1.0, 2.0, 3.0], [1.0, 2.5, 3.0], [9.0, 9.0, 9.0]])
@@ -317,8 +328,8 @@ class TestDistanceMatrices:
         x = np.array([[0.0], [1e-12], [-0.0], [np.nextafter(1e-12, 1.0)]])
         d = squareform(pdist(x, "hamming"))
         assert d[0, 1] == 1.0 and d[1, 3] == 1.0 and d[0, 2] == 0.0
-        assert _linkage_tree(x, "SLH")[0].tolist() == [0.0, 2.0, 0.0, 2.0]
-        assert np.array_equal(_linkage_tree(x[:2], "SLH"), [[0.0, 1.0, 1.0, 2.0]])
+        assert linkage_merge(x, "SLH")[0].tolist() == [0.0, 2.0, 0.0, 2.0]
+        assert np.array_equal(linkage_merge(x[:2], "SLH"), [[0.0, 1.0, 1.0, 2.0]])
 
     def test_cosine_right_angle(self):
         x = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]])

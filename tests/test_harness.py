@@ -13,6 +13,7 @@ from cesel.errors import AllMissingColumn, LengthMismatch, ParseError
 from cesel.harness import (
     AccuracyResult,
     ExperimentSpec,
+    _pick_cells,
     accuracy,
     gen_half_ring,
     inject_missing,
@@ -196,6 +197,14 @@ class TestPerturbations:
         changed = (out.raw != self.DATA.samples).sum()
         assert changed == round(0.1 * self.DATA.n * self.DATA.d)
 
+    def test_noise_draws_from_its_own_stream(self):
+        # The values come from SeedSequence([seed, 1]), in cell order, not
+        # from the stream that picked the cells.
+        out = inject_noise(self.DATA, 0.1, seed=13)
+        cells = _pick_cells(self.DATA.n, self.DATA.d, 0.1, 13)
+        want = np.random.default_rng(np.random.SeedSequence([13, 1])).standard_normal(cells.size)
+        assert np.array_equal(out.raw.reshape(-1)[cells], want)
+
     def test_noise_output_standardized(self):
         out = inject_noise(self.DATA, 0.3, seed=17)
         assert np.allclose(out.samples.mean(axis=0), 0.0, atol=1e-12)
@@ -292,7 +301,7 @@ def _counting_seed_free_work(monkeypatch):
     """Record each linkage tree and SPS embedding the clusterers compute,
     with the samples it was computed on."""
     computed = []
-    tree, embed = clusterers._linkage_tree, clusterers._spectral_embedding
+    tree, embed = clusterers.linkage_merge, clusterers._spectral_embedding
 
     def counted_tree(x, alg):
         computed.append((alg, x))
@@ -302,7 +311,7 @@ def _counting_seed_free_work(monkeypatch):
         computed.append((("SPS", k), x))
         return embed(x, k)
 
-    monkeypatch.setattr(clusterers, "_linkage_tree", counted_tree)
+    monkeypatch.setattr(clusterers, "linkage_merge", counted_tree)
     monkeypatch.setattr(clusterers, "_spectral_embedding", counted_embed)
     return computed
 

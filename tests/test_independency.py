@@ -526,19 +526,6 @@ class TestAiWeights:
 
 
 class TestBasicParams:
-    def test_serialization_roundtrip(self):
-        p = BasicParams("K", np.array([[0.1, -2.5], [3.25, 4.0]]))
-        q = BasicParams.from_dict(p.to_dict())
-        assert q.algorithm_id == p.algorithm_id
-        assert np.array_equal(q.rows, p.rows)
-
-    def test_json_roundtrip_exact(self):
-        import json
-
-        p = BasicParams("F", np.array([[1 / 3, 2 / 7], [0.1, 1e-17]]))
-        q = BasicParams.from_dict(json.loads(json.dumps(p.to_dict())))
-        assert np.array_equal(q.rows, p.rows)
-
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             BasicParams("K", np.array([[np.nan]]))

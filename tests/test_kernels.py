@@ -29,9 +29,10 @@ from scipy.cluster.hierarchy import linkage
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from cesel import clusterers
-from cesel._agglo import chain_tree, cut_merges, linkage_merge
+from cesel._agglo import chain_tree, cut_merges
 from cesel.clusterers import (LINKAGE_IDS, ClustererConfig, Dataset, _cosine_distances,
-                              _linkage_tree, _sq_distances, run_linkage)
+                              _sq_distances, linkage_merge, run_linkage)
+from linkage_oracle import oracle_linkage_merge
 from summation import PAIRWISE_TERMS, left_to_right
 
 HAMMING_IDS = [alg for alg in LINKAGE_IDS if alg[2] == "H"]
@@ -328,17 +329,17 @@ WIDE_COORD = st.one_of(
 @given(data=st.data())
 def test_all_distinct_shortcut_matches_counting(data):
     # No value repeats, so every pair differs in every coordinate: the
-    # chain tree is the engine's tree on the all-ones Hamming matrix.
+    # chain tree is the row-major loop's tree on the all-ones Hamming matrix.
     d = data.draw(st.integers(1, 4))
     n = data.draw(st.integers(2, 12))
     x = data.draw(arrays(np.float64, (n, d), elements=WIDE_COORD, unique=True))
     assert np.array_equal(hamming_matrix(x), off_diagonal_ones(n))
     assert np.array_equal(oracle_hamming(x), off_diagonal_ones(n))
     for alg in HAMMING_IDS:
-        tree = _linkage_tree(x, alg)
+        tree = linkage_merge(x, alg)
         method = clusterers._LINKAGE_NAMES[alg[0]]
         assert np.array_equal(tree, chain_tree(n))
-        assert np.array_equal(tree, linkage_merge(hamming_matrix(x), method))
+        assert np.array_equal(tree, oracle_linkage_merge(hamming_matrix(x), method))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -368,7 +369,7 @@ def test_gap_at_the_tolerance_and_one_ulp_either_side(offset):
         x = np.array([[5.0 + offset], [low], [high], [-5.0 + offset]])
         assert np.array_equal(hamming_matrix(x), off_diagonal_ones(4))
         for alg in HAMMING_IDS:
-            assert np.array_equal(_linkage_tree(x, alg), chain_tree(4))
+            assert np.array_equal(linkage_merge(x, alg), chain_tree(4))
 
 
 def test_mix_of_distinct_and_tied_columns():
@@ -410,9 +411,13 @@ def test_hamming_trees_match_the_earlier_kernel_above_its_tolerance(data):
     gaps = np.abs(x[:, None, :] - x[None, :, :])
     assume(np.all((gaps == 0.0) | (gaps > _HAMMING_TOL)))
     earlier = oracle_counting_hamming(x)
+    # The earlier matrix is all ones off the diagonal exactly where the
+    # chain applies; otherwise scipy merges it.
+    chain = np.array_equal(earlier, off_diagonal_ones(n))
     for alg in HAMMING_IDS:
-        tree = _linkage_tree(x, alg)
-        want = linkage_merge(earlier, clusterers._LINKAGE_NAMES[alg[0]])
+        tree = linkage_merge(x, alg)
+        method = clusterers._LINKAGE_NAMES[alg[0]]
+        want = chain_tree(n) if chain else linkage(squareform(earlier, checks=False), method)
         assert np.array_equal(tree, want), alg
         for k in range(1, n + 1):
             assert np.array_equal(cut_merges(tree, k), cut_merges(want, k)), (alg, k)

@@ -20,7 +20,8 @@ The parts:
 - ``blobs-consensus-runs8-39``: runs 8-39 of blobs-consensus at both seeds;
 - ``vary_k-ring400``: 12 ``vary_k`` full-roster runs on a half ring, n=400;
 - ``vary_k-iris-full-roster``: 12 ``vary_k`` full-roster runs on iris,
-  whose tied coordinates make the ``?LH`` IDs merge on the exact engine;
+  whose tied coordinates make the ``?LH`` IDs merge on scipy's ``linkage``
+  rather than take the chain;
 - ``SLH-only-ring200``: 4 runs with roster ``SLH`` on a half ring, n=200,
   where every copy weighs 0 and the consensus merges a constant matrix.
 """
