@@ -6,6 +6,7 @@ from small modeling-language scripts via graph comparison), and fused by
 weighted evidence accumulation with an average-linkage cut.
 """
 
+from .assets import reference_aidm
 from .cail import (
     CailScript,
     GraphArray,
@@ -44,7 +45,6 @@ from .consensus import (
 )
 from .diversity import DiversityReport, aapmm, aapmm_raw, admit, apmm, uniformity
 from .harness import (
-    AccuracyResult,
     ExperimentSpec,
     accuracy,
     gen_blobs,
@@ -67,7 +67,6 @@ from .independency import (
     compare_cells,
     load_aidm_csv,
     max_cells,
-    reference_aidm,
     save_aidm_csv,
 )
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .cail import GraphArray, Scmt, build_graph, load_scmt, load_script, to_graph_array
 from .errors import DataFileError
-from .independency import Aidm, build_aidm
+from .independency import Aidm, build_aidm, load_aidm_csv
 
 
 def _data_path(name: str) -> Path:
@@ -41,6 +41,12 @@ def load_script_arrays(
     if not arrays:
         raise DataFileError(f"no .cail scripts found in {directory}")
     return arrays
+
+
+@functools.cache
+def reference_aidm() -> Aidm:
+    """The bundled 20-algorithm reference independency matrix, read once."""
+    return load_aidm_csv(_data_path("aidm_reference.csv"))
 
 
 @functools.cache

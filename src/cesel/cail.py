@@ -303,11 +303,15 @@ def to_graph_array(graph: IndependencyGraph) -> GraphArray:
 
 
 def export_dot(graph: IndependencyGraph) -> str:
-    """Render the graph in DOT format, symbol lists as edge labels."""
+    """Render the graph in DOT format, symbol lists as edge labels.
+
+    The graph name is quoted, with ``\\`` and ``"`` escaped.
+    """
     ends = {NodeKind.ENTRY: "entry", NodeKind.EXIT: "exit"}
     inner = iter(range(1, len(graph.nodes) + 1))  # n1, n2, ... for the other nodes
     names = [ends[kind] if kind in ends else f"n{next(inner)}" for kind in graph.nodes]
-    lines = [f'digraph "{graph.name}" {{', "  rankdir=LR;"]
+    quoted = graph.name.replace("\\", "\\\\").replace('"', '\\"')
+    lines = [f'digraph "{quoted}" {{', "  rankdir=LR;"]
     for name, kind in zip(names, graph.nodes):
         shape = "doublecircle" if kind in ends else "circle"
         lines.append(f"  {name} [shape={shape}];")

@@ -18,6 +18,7 @@ from .cail import build_graph, export_dot, load_scmt, load_script, to_graph_arra
 from .consensus import PipelineConfig, run_ces
 from .errors import CeselError
 from .harness import (
+    METHODS,
     ExperimentSpec,
     accuracy,
     gen_half_ring,
@@ -121,7 +122,7 @@ def run(data, label, consensus_mode, out, **pipeline):
 
 
 @cli.command()
-@click.option("--method", required=True, type=click.Choice(["kmeans", "spectral", "eac", "weac"]))
+@click.option("--method", required=True, type=click.Choice(METHODS))
 @_pipeline_options
 @click.option("--reps", default=10, type=click.IntRange(min=1), show_default=True)
 def baseline(method, data, label, reps, **pipeline):

@@ -36,7 +36,7 @@ from .errors import (
     InvalidK,
     WeightMismatch,
 )
-from .independency import Aidm, ai_weights, load_aidm_csv, reference_aidm
+from .independency import Aidm, ai_weights, load_aidm_csv
 
 
 @dataclass(frozen=True)
@@ -264,7 +264,7 @@ def resolve_aidm(cfg: PipelineConfig) -> Aidm:
     ``OSError``.
     """
     if cfg.aidm_source == "reference":
-        return reference_aidm()
+        return assets.reference_aidm()
     if cfg.aidm_source == "computed":
         return assets.computed_aidm()
     return load_aidm_csv(cfg.aidm_source)

@@ -4,8 +4,7 @@ Accuracy matches predicted clusters to true classes by the optimal
 one-to-one assignment over the contingency table, so it is invariant to
 any relabeling on either side. Experiments run every method over
 ``repetitions`` seeds derived from one master seed and report mean and
-standard deviation per method; perturbation schedules repeat that per
-corruption rate.
+standard deviation per method.
 """
 from __future__ import annotations
 
@@ -21,6 +20,7 @@ from .errors import LengthMismatch, ParseError
 
 _MISSING_TOKENS = {"", "na", "nan", "null", "none", "?"}
 _SINGLE_CLUSTERER_IDS = {"kmeans": "K", "spectral": "SPS"}
+METHODS = ("kmeans", "spectral", "eac", "weac")
 
 
 def load_csv(path: str | Path, label_column: str | None = None) -> Dataset:
@@ -201,40 +201,19 @@ def inject_noise(data: Dataset, rate: float, seed: int) -> Dataset:
 
 
 @dataclass(frozen=True)
-class AccuracyResult:
-    """Mean/std accuracy over repeated runs, percentages in [0, 100]."""
-
-    mean: float
-    std: float
-    per_run: tuple[float, ...]
-
-    @classmethod
-    def from_runs(cls, values) -> "AccuracyResult":
-        arr = np.asarray(list(values), dtype=float)
-        return cls(float(arr.mean()), float(arr.std()), tuple(float(v) for v in arr))
-
-    def to_dict(self) -> dict:
-        return {"mean": self.mean, "std": self.std, "per_run": list(self.per_run)}
-
-
-@dataclass(frozen=True)
 class ExperimentSpec:
-    """A full evaluation protocol: data, pipeline, methods, perturbations."""
+    """A full evaluation protocol: data, pipeline, methods, repetitions."""
 
     dataset: Dataset
     dataset_name: str
     pipeline: PipelineConfig
     repetitions: int = 10
     methods: tuple[str, ...] = ("kmeans", "eac", "weac")
-    perturb_mode: str = "none"        # none | missing | noise
-    perturb_rates: tuple[float, ...] = ()
 
     def __post_init__(self):
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if self.perturb_mode not in ("none", "missing", "noise"):
-            raise ValueError(f"unknown perturbation mode {self.perturb_mode!r}")
-        unknown = set(self.methods) - {"kmeans", "spectral", "eac", "weac"}
+        unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
 
@@ -258,46 +237,34 @@ def run_method(method: str, data: Dataset, pipeline: PipelineConfig, seed: int) 
 
 
 def run_experiment(spec: ExperimentSpec) -> dict:
-    """Execute the protocol and return its report.
+    """Execute the protocol and return its report, one row per method.
 
-    The report maps each perturbation rate (0.0 when mode is ``none``) to
-    per-method accuracy results, one row per (rate, method).
+    Each row holds the method's per-run accuracies, their mean and their
+    population standard deviation. Every method and repetition shares one
+    memo of the dataset's seed-free work.
     """
     if spec.dataset.labels is None:
         raise ValueError("experiments need a labelled dataset")
-    rates = spec.perturb_rates if spec.perturb_mode != "none" else (0.0,)
+    data = spec.dataset.with_memo()
     rows = []
-    for rate_idx, rate in enumerate(rates):
-        if spec.perturb_mode == "missing" and rate > 0:
-            data = inject_missing(spec.dataset, rate, _rep_seed(spec.pipeline.seed, 91, rate_idx))
-        elif spec.perturb_mode == "noise" and rate > 0:
-            data = inject_noise(spec.dataset, rate, _rep_seed(spec.pipeline.seed, 92, rate_idx))
-        else:
-            data = spec.dataset
-        data = data.with_memo()  # shared by every method and repetition
-        for method_idx, method in enumerate(spec.methods):
-            scores = [
-                accuracy(
-                    run_method(method, data, spec.pipeline,
-                               _rep_seed(spec.pipeline.seed, method_idx, rep)),
-                    data.labels,
-                )
-                for rep in range(spec.repetitions)
-            ]
-            rows.append({"rate": rate, "method": method,
-                         "result": AccuracyResult.from_runs(scores)})
-
+    for method_idx, method in enumerate(spec.methods):
+        scores = np.array([
+            accuracy(
+                run_method(method, data, spec.pipeline,
+                           _rep_seed(spec.pipeline.seed, method_idx, rep)),
+                data.labels,
+            )
+            for rep in range(spec.repetitions)
+        ])
+        rows.append({"method": method, "mean": float(scores.mean()),
+                     "std": float(scores.std()), "per_run": scores.tolist()})
     return {
         "dataset": spec.dataset_name,
         "n": spec.dataset.n,
         "d": spec.dataset.d,
         "repetitions": spec.repetitions,
-        "perturb_mode": spec.perturb_mode,
         "pipeline": spec.pipeline.to_dict(),
-        "rows": [
-            {"rate": r["rate"], "method": r["method"], **r["result"].to_dict()}
-            for r in rows
-        ],
+        "rows": rows,
     }
 
 

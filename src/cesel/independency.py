@@ -16,7 +16,6 @@ import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -123,7 +122,7 @@ class Aidm:
     def __post_init__(self):
         n = len(self.algorithm_ids)
         v = np.array(self.values, dtype=float)
-        v.flags.writeable = False  # instances are shared (see reference_aidm)
+        v.flags.writeable = False  # instances are shared (see assets.reference_aidm)
         object.__setattr__(self, "values", v)
         if v.shape != (n, n):
             raise ValueError("matrix shape does not match the ID list")
@@ -206,12 +205,6 @@ def load_aidm_csv(path: str | Path) -> Aidm:
         return Aidm(ids, np.array([[float(v) for v in row[1:]] for row in body]))
     except ValueError as exc:
         raise DataFileError(f"{path}: {exc}") from None
-
-
-@functools.cache
-def reference_aidm() -> Aidm:
-    """The bundled 20-algorithm reference independency matrix, read once."""
-    return load_aidm_csv(Path(str(resources.files("cesel.data").joinpath("aidm_reference.csv"))))
 
 
 # --- run-level independency ---------------------------------------------------

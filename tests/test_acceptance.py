@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from cesel import assets
+from cesel.assets import reference_aidm
 from cesel.cail import build_graph, parse_cail, to_graph_array
 from cesel.clusterers import ClustererConfig, Partition, run_kmeans
 from cesel.consensus import CommitteeEntry, PipelineConfig, eac, run_ces, weac
@@ -25,7 +26,6 @@ from cesel.independency import (
     compare_cells,
     load_aidm_csv,
     max_cells,
-    reference_aidm,
     save_aidm_csv,
 )
 

@@ -252,6 +252,10 @@ class TestDotExport:
         dot = export_dot(build_graph(parse_cail("begin R(1) while M(2) M(3) end end", scmt)))
         assert '[label="M(2), M(3)"]' in dot
 
+    def test_name_quotes_and_backslashes_are_escaped(self, scmt):
+        graph = build_graph(parse_cail("begin end", scmt, name='A"B\\C'))
+        assert export_dot(graph).split("\n")[0] == 'digraph "A\\"B\\\\C" {'
+
 
 class TestScmt:
     def test_bundled_table(self, scmt):

@@ -11,7 +11,6 @@ from cesel.clusterers import Dataset, Partition
 from cesel.consensus import PipelineConfig, run_ces
 from cesel.errors import AllMissingColumn, LengthMismatch, ParseError
 from cesel.harness import (
-    AccuracyResult,
     ExperimentSpec,
     _pick_cells,
     accuracy,
@@ -250,14 +249,17 @@ class TestRunExperiment:
         b = run_experiment(spec)
         assert json.dumps(a) == json.dumps(b)
 
-    def test_perturbation_rows_per_rate(self):
+    def test_rows_follow_methods_with_mean_and_population_std(self):
+        methods = ("weac", "kmeans", "eac")
         spec = ExperimentSpec(
             dataset=self.DATA, dataset_name="hr", pipeline=SMALL_PIPELINE,
-            repetitions=1, methods=("kmeans",),
-            perturb_mode="missing", perturb_rates=(0.0, 0.1, 0.2),
+            repetitions=3, methods=methods,
         )
-        report = run_experiment(spec)
-        assert [r["rate"] for r in report["rows"]] == [0.0, 0.1, 0.2]
+        rows = run_experiment(spec)["rows"]
+        assert [r["method"] for r in rows] == list(methods)
+        for row in rows:
+            assert row["mean"] == np.mean(row["per_run"])
+            assert row["std"] == np.std(row["per_run"])
 
     def test_unlabelled_dataset_rejected(self):
         from cesel.clusterers import Dataset
@@ -274,8 +276,6 @@ class TestRunExperiment:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             ExperimentSpec(self.DATA, "x", SMALL_PIPELINE, repetitions=0)
-        with pytest.raises(ValueError):
-            ExperimentSpec(self.DATA, "x", SMALL_PIPELINE, perturb_mode="zap")
         with pytest.raises(ValueError):
             ExperimentSpec(self.DATA, "x", SMALL_PIPELINE, methods=("kmeans", "dbscan"))
 
@@ -335,13 +335,12 @@ class TestSharedMemo:
 
     def test_experiment_builds_each_tree_once_per_dataset(self, monkeypatch):
         computed = _counting_seed_free_work(monkeypatch)
-        run_experiment(self.spec(("eac", "weac"), perturb_mode="noise",
-                                 perturb_rates=(0.0, 0.1)))
-        samples = {id(x): x for _, x in computed}
-        assert len(samples) == 2  # the clean and the perturbed dataset
-        for x in samples.values():
-            keys = [key for key, y in computed if y is x]
+        for data in (self.DATA, inject_noise(self.DATA, 0.1, seed=37)):
+            start = len(computed)
+            run_experiment(replace(self.spec(("eac", "weac")), dataset=data))
+            keys = [key for key, _ in computed[start:]]
             assert keys and len(keys) == len(set(keys))
+            assert all(np.array_equal(x, data.samples) for _, x in computed[start:])
 
     def test_sweep_builds_each_tree_once_per_threshold(self, monkeypatch):
         # Each threshold shares one memo across its repetitions and none with
@@ -375,10 +374,3 @@ class TestSharedMemo:
             for row in rows:
                 row.pop("wall_time_ms_mean")
         assert json.dumps(shared) == json.dumps(apart)
-
-
-class TestAccuracyResult:
-    def test_from_runs(self):
-        r = AccuracyResult.from_runs([50.0, 100.0])
-        assert r.mean == 75.0 and r.std == 25.0
-        assert r.per_run == (50.0, 100.0)

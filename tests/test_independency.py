@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.spatial.distance import cdist
 
 from cesel import assets
+from cesel.assets import reference_aidm
 from cesel.cail import GraphArray
 from cesel.consensus import CommitteeEntry
 from cesel.clusterers import Partition
@@ -32,7 +33,6 @@ from cesel.independency import (
     compare_cells,
     load_aidm_csv,
     max_cells,
-    reference_aidm,
     save_aidm_csv,
 )
 
